@@ -2,14 +2,45 @@
 // Work per candidate grows with its value, so block partitioning leaves the
 // high-range cores with ~2x the average work — the load imbalance behind
 // CountPrimes' ~16x (not 32x) in Fig. 6.1.
+//
+// The host does not run that loop. The loop stops at a candidate's smallest
+// divisor j after j - 1 divisions, and a composite c has one with j*j <= c;
+// a prime runs all c - 2. So trialDivide finds the same {is_prime, trials}
+// by trial division up to sqrt(c). The kernels charge `trials` exactly as
+// before, batch by batch, so every Tick is unchanged: the simulated cost is
+// Algorithm 11's, only the host arithmetic is cheaper. The verification
+// oracle is a sieve, which shares no code with trialDivide.
 #include <cstring>
+#include <vector>
 
 #include "rcce/rcce.h"
 #include "sim/machine.h"
 #include "threadrt/baseline.h"
 #include "workloads/benchmark.h"
+#include "workloads/kernels.h"
 
 namespace hsm::workloads {
+
+std::pair<bool, std::size_t> trialDivide(std::size_t c) {
+  if (c < 2) return {false, 0};
+  for (std::size_t j = 2; j * j <= c; ++j) {
+    if (c % j == 0) return {false, j - 1};
+  }
+  return {true, c - 2};
+}
+
+long long sievePrimeCount(std::size_t limit) {
+  if (limit < 2) return 0;
+  std::vector<bool> composite(limit + 1, false);
+  long long count = 0;
+  for (std::size_t i = 2; i <= limit; ++i) {
+    if (composite[i]) continue;
+    ++count;
+    for (std::size_t m = i * i; m <= limit; m += i) composite[m] = true;
+  }
+  return count;
+}
+
 namespace {
 
 constexpr int kSumLock = 0;
@@ -18,33 +49,13 @@ struct PrimesParams {
   std::size_t limit = 20'000;
 };
 
-/// Executes Algorithm 11's inner loop for one candidate; returns
-/// {is_prime, trial_divisions_performed}.
-std::pair<bool, std::size_t> trialDivide(std::size_t i) {
-  if (i < 2) return {false, 0};
-  std::size_t trials = 0;
-  for (std::size_t j = 2; j < i; ++j) {
-    ++trials;
-    if (i % j == 0) return {false, trials};
-  }
-  return {true, trials};
-}
-
-long long referenceCount(std::size_t limit) {
-  long long total = 0;
-  for (std::size_t i = 2; i <= limit; ++i) total += trialDivide(i).first ? 1 : 0;
-  return total;
-}
-
-// Candidates are batched (one event per batch) while accumulating the
-// simulated division cost exactly.
-
-sim::SimTask primesThread(threadrt::ThreadContext& ctx, PrimesParams p,
-                          std::uint64_t count_addr) {
-  const Slice s = blockSlice(p.limit - 1, ctx.numThreads(), ctx.tid());
+/// The loop both kernels run over their slice of candidates [2, limit]:
+/// counts its primes into `primes`. Candidates are batched (one event per
+/// batch of 64) while charging the simulated division cost exactly.
+template <typename Ctx>
+sim::SubTask countSlice(Ctx& ctx, Slice s, long long& primes) {
   const std::size_t lo = 2 + s.first;
   const std::size_t hi = 2 + s.last;
-  long long primes = 0;
   constexpr std::size_t kBatch = 64;
   for (std::size_t i = lo; i < hi; i += kBatch) {
     const std::size_t end = std::min(i + kBatch, hi);
@@ -57,6 +68,12 @@ sim::SimTask primesThread(threadrt::ThreadContext& ctx, PrimesParams p,
     co_await ctx.computeOps(divisions, sim::OpClass::IntDiv);
     co_await ctx.computeOps(divisions, sim::OpClass::IntAlu);
   }
+}
+
+sim::SimTask primesThread(threadrt::ThreadContext& ctx, PrimesParams p,
+                          std::uint64_t count_addr) {
+  long long primes = 0;
+  co_await countSlice(ctx, blockSlice(p.limit - 1, ctx.numThreads(), ctx.tid()), primes);
   co_await ctx.lockAcquire(kSumLock);
   long long global = 0;
   co_await ctx.memRead(count_addr, &global, sizeof(global));
@@ -68,22 +85,8 @@ sim::SimTask primesThread(threadrt::ThreadContext& ctx, PrimesParams p,
 sim::SimTask primesRcce(sim::CoreContext& ctx, PrimesParams p,
                         rcce::ShmArray<long long> acc,
                         rcce::MpbArray<long long> mpb_acc, bool use_mpb) {
-  const Slice s = blockSlice(p.limit - 1, ctx.numUes(), ctx.ue());
-  const std::size_t lo = 2 + s.first;
-  const std::size_t hi = 2 + s.last;
   long long primes = 0;
-  constexpr std::size_t kBatch = 64;
-  for (std::size_t i = lo; i < hi; i += kBatch) {
-    const std::size_t end = std::min(i + kBatch, hi);
-    std::uint64_t divisions = 0;
-    for (std::size_t c = i; c < end; ++c) {
-      const auto [is_prime, trials] = trialDivide(c);
-      primes += is_prime ? 1 : 0;
-      divisions += trials;
-    }
-    co_await ctx.computeOps(divisions, sim::OpClass::IntDiv);
-    co_await ctx.computeOps(divisions, sim::OpClass::IntAlu);
-  }
+  co_await countSlice(ctx, blockSlice(p.limit - 1, ctx.numUes(), ctx.ue()), primes);
   co_await ctx.lockAcquire(kSumLock);
   long long global = 0;
   if (use_mpb) {
@@ -150,7 +153,7 @@ class CountPrimes final : public Benchmark {
       computed = use_mpb ? *mpb_acc.hostData(0) : *acc.hostData();
     }
 
-    result.verified = computed == referenceCount(p.limit);
+    result.verified = computed == sievePrimeCount(p.limit);
     deriveDetail(result, "primes=" + std::to_string(computed));
     return result;
   }

@@ -1,7 +1,10 @@
 #include "workloads/kv_store.h"
 
+#include <bit>
 #include <cmath>
 #include <cstring>
+#include <map>
+#include <mutex>
 
 #include "rcce/rcce.h"
 #include "sim/machine.h"
@@ -258,28 +261,50 @@ std::uint64_t kvReferenceChecksum(const KvParams& params, int ue) {
   return chk;
 }
 
-ZipfGenerator::ZipfGenerator(std::uint32_t num_keys, double alpha, std::uint64_t seed)
-    : seed_(seed) {
-  if (num_keys == 0) num_keys = 1;
-  cdf_.resize(num_keys);
+namespace {
+
+std::vector<double> buildZipfCdf(std::uint32_t num_keys, double alpha) {
+  std::vector<double> cdf(num_keys);
   double total = 0.0;
   for (std::uint32_t k = 0; k < num_keys; ++k) {
     total += 1.0 / std::pow(static_cast<double>(k + 1), alpha);
-    cdf_[k] = total;
+    cdf[k] = total;
   }
-  for (std::uint32_t k = 0; k < num_keys; ++k) cdf_[k] /= total;
-  cdf_.back() = 1.0;  // guard against accumulated rounding at the tail
+  for (std::uint32_t k = 0; k < num_keys; ++k) cdf[k] /= total;
+  cdf.back() = 1.0;  // guard against accumulated rounding at the tail
+  return cdf;
 }
+
+/// The CDF is a pure function of (num_keys, alpha), so every generator with
+/// the same parameters shares one table, built on first use. Generators may
+/// be constructed on the lane engine's worker threads, hence the mutex.
+std::shared_ptr<const std::vector<double>> sharedZipfCdf(std::uint32_t num_keys,
+                                                         double alpha) {
+  static std::mutex mu;
+  static std::map<std::pair<std::uint32_t, std::uint64_t>,
+                  std::shared_ptr<const std::vector<double>>>
+      memo;
+  const std::lock_guard<std::mutex> lock(mu);
+  auto& cdf = memo[{num_keys, std::bit_cast<std::uint64_t>(alpha)}];
+  if (!cdf) cdf = std::make_shared<const std::vector<double>>(buildZipfCdf(num_keys, alpha));
+  return cdf;
+}
+
+}  // namespace
+
+ZipfGenerator::ZipfGenerator(std::uint32_t num_keys, double alpha, std::uint64_t seed)
+    : cdf_(sharedZipfCdf(num_keys == 0 ? 1 : num_keys, alpha)), seed_(seed) {}
 
 std::uint32_t ZipfGenerator::next() {
   const std::uint64_t bits = kvMix64(seed_ ^ (counter_++ * 0x9E3779B97F4A7C15ULL));
   const double u = static_cast<double>(bits >> 11) * 0x1.0p-53;
   // Inverse CDF by binary search: first rank whose cumulative mass covers u.
+  const std::vector<double>& cdf = *cdf_;
   std::uint32_t lo = 0;
-  std::uint32_t hi = static_cast<std::uint32_t>(cdf_.size()) - 1;
+  std::uint32_t hi = static_cast<std::uint32_t>(cdf.size()) - 1;
   while (lo < hi) {
     const std::uint32_t mid = lo + (hi - lo) / 2;
-    if (cdf_[mid] <= u) {
+    if (cdf[mid] <= u) {
       lo = mid + 1;
     } else {
       hi = mid;
@@ -289,8 +314,9 @@ std::uint32_t ZipfGenerator::next() {
 }
 
 double ZipfGenerator::probability(std::uint32_t k) const {
-  if (k >= cdf_.size()) return 0.0;
-  return k == 0 ? cdf_[0] : cdf_[k] - cdf_[k - 1];
+  const std::vector<double>& cdf = *cdf_;
+  if (k >= cdf.size()) return 0.0;
+  return k == 0 ? cdf[0] : cdf[k] - cdf[k - 1];
 }
 
 std::unique_ptr<Benchmark> makeKvStore(double scale) {

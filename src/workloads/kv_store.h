@@ -34,10 +34,12 @@ namespace hsm::workloads {
 
 /// Deterministic Zipf(alpha) key generator over ranks [0, num_keys):
 /// a precomputed inverse-CDF table indexed by counter-based splitmix64
-/// uniforms. Stateless beyond the draw counter — two generators built with
-/// the same (num_keys, alpha, seed) produce identical streams on any
-/// platform, and distinct seeds produce decorrelated streams with the same
-/// marginal distribution (the properties the tests pin down).
+/// uniforms. The table is built once per (num_keys, alpha) and shared by
+/// every generator with those parameters. Stateless beyond the draw
+/// counter — two generators built with the same (num_keys, alpha, seed)
+/// produce identical streams on any platform, and distinct seeds produce
+/// decorrelated streams with the same marginal distribution (the
+/// properties the tests pin down).
 class ZipfGenerator {
  public:
   ZipfGenerator(std::uint32_t num_keys, double alpha, std::uint64_t seed);
@@ -45,13 +47,14 @@ class ZipfGenerator {
   /// Next key rank (0 = the hottest key).
   [[nodiscard]] std::uint32_t next();
   [[nodiscard]] std::uint32_t numKeys() const {
-    return static_cast<std::uint32_t>(cdf_.size());
+    return static_cast<std::uint32_t>(cdf_->size());
   }
   /// Probability mass of rank `k` (for skew assertions in tests).
   [[nodiscard]] double probability(std::uint32_t k) const;
 
  private:
-  std::vector<double> cdf_;  ///< cdf_[k] = P(rank <= k), cdf_.back() == 1
+  /// (*cdf_)[k] = P(rank <= k), cdf_->back() == 1
+  std::shared_ptr<const std::vector<double>> cdf_;
   std::uint64_t seed_;
   std::uint64_t counter_ = 0;
 };

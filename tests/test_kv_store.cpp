@@ -1,6 +1,7 @@
 // KV-store workload under Zipf traffic and the controller-placement
 // machinery it is sized against:
-//   * ZipfGenerator determinism (same seed → identical streams on replay),
+//   * ZipfGenerator determinism (same seed → identical streams on replay,
+//     also when generators sharing one CDF are built on several threads),
 //     seed decorrelation, and measured skew against probability();
 //   * address→controller routing per ControllerPlacement (striped requester-
 //     independence, pinning, deterministic first-touch claims, the
@@ -17,6 +18,7 @@
 
 #include <cstdint>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "partition/execution_plan.h"
@@ -74,6 +76,30 @@ TEST(ZipfGenerator, MeasuredSkewMatchesProbability) {
   }
   EXPECT_NEAR(total, 1.0, 1e-9);
   EXPECT_GT(g.probability(0), 0.15);  // alpha 1.2 concentrates the head
+}
+
+TEST(ZipfGenerator, SharedCdfIsThreadSafeAndReplaysIdentically) {
+  // Parameters no other test uses, so the threads race to build the table.
+  constexpr std::uint32_t kKeys = 3001;
+  constexpr double kAlpha = 0.97;
+  constexpr int kThreads = 4;
+  constexpr int kDraws = 20000;
+  std::vector<std::vector<std::uint32_t>> streams(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&streams, t] {
+      ZipfGenerator g(kKeys, kAlpha, 0x5EEDULL + static_cast<std::uint64_t>(t));
+      for (int i = 0; i < kDraws; ++i) streams[t].push_back(g.next());
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    ZipfGenerator replay(kKeys, kAlpha, 0x5EEDULL + static_cast<std::uint64_t>(t));
+    ASSERT_EQ(streams[t].size(), static_cast<std::size_t>(kDraws));
+    for (int i = 0; i < kDraws; ++i) {
+      ASSERT_EQ(streams[t][i], replay.next()) << "thread " << t << " draw " << i;
+    }
+  }
 }
 
 // --- address→controller routing ---------------------------------------------

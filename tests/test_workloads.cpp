@@ -1,9 +1,11 @@
 // Integration tests: every benchmark x every mode computes a verified
 // result, plus the performance-shape properties the paper's evaluation
-// rests on (parallel speedup, MPB vs off-chip ordering, load imbalance).
+// rests on (parallel speedup, MPB vs off-chip ordering, load imbalance),
+// and the compute twins' closed forms against the naive loops they replace.
 #include <gtest/gtest.h>
 
 #include "workloads/benchmark.h"
+#include "workloads/kernels.h"
 
 namespace hsm::workloads {
 namespace {
@@ -174,6 +176,56 @@ TEST(Workloads, PthreadSourcesExistForAllBenchmarks) {
     EXPECT_NE(pthreadSource(name).find("pthread_create"), std::string::npos) << name;
   }
   EXPECT_THROW((void)pthreadSource("NoSuchBenchmark"), std::out_of_range);
+}
+
+// --- closed-form kernels vs the naive loops -----------------------------------
+
+/// Algorithm 11's inner loop as written: trial division by every j < i.
+std::pair<bool, std::size_t> naiveTrialDivide(std::size_t i) {
+  if (i < 2) return {false, 0};
+  std::size_t trials = 0;
+  for (std::size_t j = 2; j < i; ++j) {
+    ++trials;
+    if (i % j == 0) return {false, trials};
+  }
+  return {true, trials};
+}
+
+long long naiveChunkSum(std::size_t first, std::size_t last) {
+  long long sum = 0;
+  for (std::size_t i = first; i < last; ++i) {
+    if (i % 3 == 0 || i % 5 == 0) sum += static_cast<long long>(i);
+  }
+  return sum;
+}
+
+TEST(Kernels, TrialDivideMatchesTheFullLoop) {
+  for (std::size_t i = 0; i <= 60'000; ++i) {
+    ASSERT_EQ(trialDivide(i), naiveTrialDivide(i)) << "candidate " << i;
+  }
+}
+
+TEST(Kernels, ChunkSumMatchesTheNaiveLoop) {
+  constexpr std::size_t kChunk = 8192;
+  constexpr std::size_t kLimit = 3'000'000;
+  for (std::size_t a = 0; a < kLimit; a += kChunk) {
+    const std::size_t b = std::min(a + kChunk, kLimit);
+    ASSERT_EQ(sum35ChunkSum(a, b), naiveChunkSum(a, b)) << "[" << a << ", " << b << ")";
+  }
+  for (std::size_t a = 0; a < 200; ++a) {
+    for (std::size_t b = a; b < 400; ++b) {
+      ASSERT_EQ(sum35ChunkSum(a, b), naiveChunkSum(a, b)) << "[" << a << ", " << b << ")";
+    }
+  }
+}
+
+TEST(Kernels, SieveCountsKnownPrimePopulations) {
+  EXPECT_EQ(sievePrimeCount(0), 0);
+  EXPECT_EQ(sievePrimeCount(1), 0);
+  EXPECT_EQ(sievePrimeCount(2), 1);
+  EXPECT_EQ(sievePrimeCount(100), 25);
+  EXPECT_EQ(sievePrimeCount(2000), 303);
+  EXPECT_EQ(sievePrimeCount(20'000), 2262);
 }
 
 }  // namespace
