@@ -23,11 +23,6 @@ inline obs::TraceRecorder* tracer(Engine& engine) {
 
 void SyncBarrier::setParticipantTasks(std::vector<std::size_t> tasks) {
   participant_tasks_ = std::move(tasks);
-  // Lifetime binding for the engine's lane partition: these are ALL the
-  // tasks that will ever arrive here. An empty set is a real promise too —
-  // "nobody synchronizes through this barrier" (the machine-wide barrier of
-  // a sync-groups launch) — distinct from the conservative unbound state.
-  engine_.bindSyncParticipants(sync_, participant_tasks_);
   if (participant_tasks_.empty()) return;  // wakers unknown: stays conservative
   // A waiter can only be released by a participant that has not arrived yet
   // (the last arrival schedules every wake). Declared episodically: each
@@ -59,8 +54,6 @@ void SyncBarrier::onArrive(std::coroutine_handle<> h) {
     // All wakes land at one Tick; the engine's (time, task_id) key resumes
     // them in task-id order no matter what order arrivals happened in.
     // Each schedule also clears the waiter's blocked-on-sync state.
-    // Every waiter is a barrier participant, hence in the recording task's
-    // own lane component — cross-task trace writes here are lane-safe.
     obs::TraceRecorder* tr = tracer(engine_);
     for (const Waiter& w : waiting_) {
       if (tr != nullptr) {
@@ -140,9 +133,7 @@ void TasLock::release() {
     drf_->acquire(next.task, sync_);
   }
   if (tr != nullptr && next.task != Engine::kNoTask) {
-    // Contended grant: request Tick .. ownership transfer. The next holder
-    // shares this lock's sync object with the releaser, so they are in the
-    // same lane component — the cross-task write is lane-safe.
+    // Contended grant: request Tick .. ownership transfer.
     tr->record(next.task, obs::TraceEvent{next.arrived, engine_.now() + roundtrip_,
                                           sync_, 1, 0, obs::kNoTraceResource,
                                           obs::TraceEventKind::kLockWait});
@@ -702,7 +693,7 @@ std::coroutine_handle<> CoreContext::SyncAwaiter::await_suspend(
     std::coroutine_handle<> h) {
   if (reconcile_) return reconcile_.await_suspend(h);
   if (op_ == Op::kBarrier) {
-    ctx_.machine_.barrierFor(ctx_.ue_).arrive().await_suspend(h);
+    ctx_.machine_.barrier().arrive().await_suspend(h);
   } else {
     ctx_.machine_.lock(lock_id_).acquire().await_suspend(h);
   }
@@ -730,7 +721,7 @@ SubTask CoreContext::barrierReconcile() {
   // A barrier is both a release (writes before it must become visible) and
   // an acquire (reads after it must not see stale lines).
   co_await swcacheRelease();
-  co_await machine_.barrierFor(ue_).arrive();
+  co_await machine_.barrier().arrive();
   machine_.swcacheAcquire(core_);
 }
 
@@ -804,13 +795,10 @@ SccMachine::SccMachine(SccConfig config)
   // knobs come from the config (off by default).
   fault_ = FaultInjector(config_.fault);
   // Round-robin contention batching rides on the coalescing machinery and
-  // replays the default quantum's per-word interleaving exactly; a custom
-  // quantum is already a different (approximate) contention model, so the
-  // batch solver stays out of its way.
+  // replays the per-word interleaving exactly.
   shm_word_runs_.resize(config_.num_mem_controllers);
   shm_run_seq_.assign(config_.num_mem_controllers, 1);
-  shm_batching_ = config_.shm_contention_batching && config_.shm_coalescing &&
-                  config_.shm_fairness_quantum_words <= 1;
+  shm_batching_ = config_.shm_contention_batching && config_.shm_coalescing;
   engine_.setHangDetection(true);
   engine_.setSyncTimeout(config_.sync_timeout_ticks);
   engine_.setWatchdogEventLimit(config_.watchdog_events_per_tick);
@@ -935,27 +923,6 @@ void SccMachine::launch(const LaunchSpec& spec) {
   }
   ue_port_reach_.assign(static_cast<std::size_t>(num_ues), {});
   mpb_scope_declared_ = static_cast<bool>(scope);
-  // Densify the sync-group ids (first-appearance order) before spawning so
-  // group membership is known when the per-group barriers are built below.
-  group_barriers_.clear();
-  ue_group_.assign(static_cast<std::size_t>(num_ues), 0);
-  std::size_t num_groups = 0;
-  if (spec.sync_groups) {
-    std::vector<int> raw_ids;
-    for (int ue = 0; ue < num_ues; ++ue) {
-      const int raw = spec.sync_groups(ue, num_ues);
-      std::size_t dense = raw_ids.size();
-      for (std::size_t g = 0; g < raw_ids.size(); ++g) {
-        if (raw_ids[g] == raw) {
-          dense = g;
-          break;
-        }
-      }
-      if (dense == raw_ids.size()) raw_ids.push_back(raw);
-      ue_group_[static_cast<std::size_t>(ue)] = dense;
-    }
-    num_groups = raw_ids.size();
-  }
   std::vector<std::size_t> task_ids;
   task_ids.reserve(static_cast<std::size_t>(num_ues));
   for (int ue = 0; ue < num_ues; ++ue) {
@@ -984,27 +951,6 @@ void SccMachine::launch(const LaunchSpec& spec) {
     // context, so siblings begin mutually concurrent — registration gives
     // each a fresh clock and the UE label used in reports.
     if (drf_active_) drf_.registerTask(task_ids.back(), ue);
-  }
-  if (spec.sync_groups && num_groups > 0) {
-    // One barrier per group, sized to the group; CoreContext::barrier()
-    // routes through barrierFor. The machine-wide barrier is bound to an
-    // EMPTY participant set — a real promise that no task arrives at it —
-    // so it cannot merge the groups' reach classes into one lane component.
-    const Tick arrive = core_clock_.cycles(config_.barrier_flag_core_cycles);
-    std::vector<std::vector<std::size_t>> group_tasks(num_groups);
-    for (int ue = 0; ue < num_ues; ++ue) {
-      group_tasks[ue_group_[static_cast<std::size_t>(ue)]].push_back(
-          task_ids[static_cast<std::size_t>(ue)]);
-    }
-    group_barriers_.reserve(num_groups);
-    for (std::size_t g = 0; g < num_groups; ++g) {
-      group_barriers_.push_back(std::make_unique<SyncBarrier>(
-          engine_, group_tasks[g].size(), arrive, arrive));
-      if (drf_active_) group_barriers_[g]->setDrf(&drf_);
-      group_barriers_[g]->setParticipantTasks(std::move(group_tasks[g]));
-    }
-    barrier_->setParticipantTasks({});
-    return;
   }
   // The barrier's potential wakers are exactly the launched tasks: enables
   // the engine's sync-aware wake-chain horizon for barrier waiters.
@@ -1053,22 +999,8 @@ std::uint32_t SccMachine::controllerForShmAccess(int core, std::uint64_t offset)
 }
 
 Tick SccMachine::run() {
-  // Per-task trace buffers must exist before any lane can record into them
-  // (lanes never resize the outer vector; see TraceRecorder::prepare).
+  // Every spawned task gets its own trace buffer (see TraceRecorder::prepare).
   if (trace_.enabled()) trace_.prepare(engine_.taskCount());
-  // Parallel lanes partition by task reach sets, but placement-routed
-  // accesses reach controllers OUTSIDE the accessor's declared quadrant
-  // reach, fault runs funnel draws through the shared FaultStats sink, and
-  // region profiling aggregates plain cross-lane counters — all three force
-  // the classic sequential loop (the engine additionally falls back on its
-  // own ineligibility conditions; see planParallelRun). Tracing itself does
-  // NOT pin lanes: per-task buffers are lane-exclusive by construction.
-  // The race detector's shadow/clock state is sequential, so a drf run pins
-  // to one lane too — which also makes its reports trivially lane-invariant.
-  engine_.setEngineLanes(ctrl_placement_active_ || fault_.anyArmed() ||
-                                 region_profiling_ || drf_active_
-                             ? 1
-                             : config_.engine_lanes);
   engine_.run();
   // End-of-run drain: dirty lines a program never released (it should — see
   // docs/memory_model.md) are written back functionally and untimed so that
@@ -1250,8 +1182,7 @@ Tick SccMachine::shmAccessCompletion(int core, Tick start, std::uint64_t offset,
 }
 
 Tick SccMachine::coalescedCompletion(std::uint32_t resource, ResourceTimeline& timeline,
-                                     bool coalescing, std::size_t quantum,
-                                     Tick issue_overhead, Tick hop_one_way, Tick service,
+                                     bool coalescing, Tick issue_overhead, Tick hop_one_way, Tick service,
                                      Tick start, std::size_t max_txns,
                                      std::size_t* done) {
   // Safety horizon: transaction i+1's request is issued (in the per-event
@@ -1265,7 +1196,7 @@ Tick SccMachine::coalescedCompletion(std::uint32_t resource, ResourceTimeline& t
   // falls back to the global horizon itself when it cannot). The first
   // transaction is always safe: its request is issued "now", while this
   // coroutine holds the engine. With coalescing off the horizon degenerates
-  // to 0, i.e. every transaction after the quantum is contended.
+  // to 0, i.e. every transaction after the first is its own event.
   Tick horizon = 0;
   if (coalescing) {
     horizon = config_.per_resource_horizon ? engine_.nextEventTimeFor(resource)
@@ -1281,7 +1212,7 @@ Tick SccMachine::coalescedCompletion(std::uint32_t resource, ResourceTimeline& t
   Tick t = start;
   std::size_t n = 0;
   while (n < max_txns) {
-    if (n > 0 && t >= horizon && n >= quantum) break;
+    if (n > 0 && t >= horizon) break;
     const Tick arrival = t + issue_overhead + hop_one_way;
     Tick svc = service;
     if (stall_armed) {
@@ -1325,7 +1256,7 @@ bool SccMachine::consumeSolvedRun(std::uint32_t mc_id, std::size_t* words_done,
   // for any words beyond the replayed prefix. One event either way.
   *words_done = it->second.done;
   *completion = it->second.final_t;
-  shm_word_events_.fetch_add(1, std::memory_order_relaxed);
+  ++shm_word_events_;
   runs.erase(it);
   return true;
 }
@@ -1450,8 +1381,6 @@ bool SccMachine::solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way,
   mc_[mc_id] = scratch;
   shm_run_seq_[mc_id] = next_stamp;
   if (tr != nullptr) {
-    // Members all reach this controller, hence share one lane component —
-    // recording under peer task ids is lane-safe.
     for (const StallRec& s : stall_recs) {
       tr->record(s.task, obs::TraceEvent{s.at, s.at, s.stall, 0, 0, mc_id,
                                          obs::TraceEventKind::kMcStall});
@@ -1460,12 +1389,11 @@ bool SccMachine::solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way,
   for (std::uint64_t i = 0; i < stalls_injected; ++i) {
     fault_.noteInjected(FaultClass::kMcStall);
   }
-  // Machine-global, non-atomic: only written when a stall actually fired,
-  // which implies an armed plan — and armed plans pin the run to one lane.
+  // Only written when a stall actually fired, i.e. under an armed plan.
   if (stall_total > 0) fault_.stats().stall_ticks += stall_total;
-  shm_words_.fetch_add(total_words, std::memory_order_relaxed);
+  shm_words_ += total_words;
   mc_traffic_[mc_id] += total_words;
-  shm_word_events_.fetch_add(1, std::memory_order_relaxed);  // self's event
+  ++shm_word_events_;  // self's event
   for (const Member& m : members) {
     if (m.is_self) {
       if (m.remaining == 0) {
@@ -1513,14 +1441,12 @@ Tick SccMachine::shmWordsOnController(std::uint32_t mc_id, Tick hop_one_way,
       return batched;
     }
   }
-  const std::size_t quantum =
-      config_.shm_fairness_quantum_words > 0 ? config_.shm_fairness_quantum_words : 1;
   const Tick t = coalescedCompletion(mc_id, mc_[mc_id], config_.shm_coalescing,
-                                     quantum, uncached_overhead_ticks_, hop_one_way,
+                                     uncached_overhead_ticks_, hop_one_way,
                                      word_service_ticks_, start, max_words, words_done);
-  shm_words_.fetch_add(*words_done, std::memory_order_relaxed);
+  shm_words_ += *words_done;
   mc_traffic_[mc_id] += *words_done;
-  shm_word_events_.fetch_add(1, std::memory_order_relaxed);
+  ++shm_word_events_;
   if (batching) {
     // Track the in-flight run so a peer entering later can prove the
     // contention pattern closed and solve the joint recurrence.
@@ -1577,15 +1503,12 @@ Tick SccMachine::shmWordsAtCompletion(int core, Tick start, std::uint64_t offset
 Tick SccMachine::swcacheLinesCompletion(int core, Tick start, std::size_t max_lines,
                                         std::size_t* lines_done) {
   const std::uint32_t mc_id = core_mc_[static_cast<std::size_t>(core)];
-  const std::size_t quantum =
-      config_.shm_fairness_quantum_words > 0 ? config_.shm_fairness_quantum_words : 1;
   const Tick t = coalescedCompletion(
-      mc_id, mc_[mc_id], config_.shm_coalescing, quantum,
-      swcache_line_overhead_ticks_, core_mc_hop_ticks_[static_cast<std::size_t>(core)],
+      mc_id, mc_[mc_id], config_.shm_coalescing, swcache_line_overhead_ticks_, core_mc_hop_ticks_[static_cast<std::size_t>(core)],
       line_service_ticks_, start, max_lines, lines_done);
-  swcache_lines_sim_.fetch_add(*lines_done, std::memory_order_relaxed);
+  swcache_lines_sim_ += *lines_done;
   mc_traffic_[mc_id] += *lines_done;
-  swcache_line_events_.fetch_add(1, std::memory_order_relaxed);
+  ++swcache_line_events_;
   return t;
 }
 
@@ -1601,21 +1524,18 @@ Tick SccMachine::mpbChunksCompletion(int core, int ue, int owner_ue, Tick start,
     // The declared scope was a promise the engine's reach sets rely on
     // (an empty declared set promises no MPB traffic at all); still service
     // the access, but flag that port isolation is void.
-    mpb_scope_violations_.fetch_add(1, std::memory_order_relaxed);
+    ++mpb_scope_violations_;
   }
   const std::uint32_t hops =
       mesh_.hopsBetweenCores(static_cast<std::uint32_t>(core), owner_core);
   const Tick hop_one_way =
       mesh_clock_.cycles(static_cast<std::uint64_t>(config_.mesh_hop_cycles) * hops);
-  const std::size_t quantum = config_.mpb_fairness_quantum_chunks > 0
-                                  ? config_.mpb_fairness_quantum_chunks
-                                  : 1;
   const Tick t = coalescedCompletion(port_id, mpb_port_[tile], config_.mpb_coalescing,
-                                     quantum, mpb_overhead_ticks_, hop_one_way,
+                                     mpb_overhead_ticks_, hop_one_way,
                                      chunk_service_ticks_, start, max_chunks,
                                      chunks_done);
-  mpb_chunks_.fetch_add(*chunks_done, std::memory_order_relaxed);
-  mpb_chunk_events_.fetch_add(1, std::memory_order_relaxed);
+  mpb_chunks_ += *chunks_done;
+  ++mpb_chunk_events_;
   return t;
 }
 
@@ -1639,7 +1559,7 @@ Tick SccMachine::shmBulkCompletion(int core, Tick start, std::uint64_t offset,
           : core_mc_hop_ticks_[static_cast<std::size_t>(core)];
   const std::size_t line = config_.cache_line_bytes;
   const std::size_t lines = (bytes + line - 1) / line;
-  shm_bulk_lines_.fetch_add(lines, std::memory_order_relaxed);
+  shm_bulk_lines_ += lines;
   mc_traffic_[mc_id] += lines;
   if (region_profiling_) noteShmBulkImpl(offset, lines, write, mc_id);
   const Tick service =
@@ -1662,20 +1582,8 @@ Tick SccMachine::shmBulkCompletion(int core, Tick start, std::uint64_t offset,
 // Observability: trace export + per-region profiling
 // ---------------------------------------------------------------------------
 
-obs::TraceExportMeta SccMachine::traceExportMeta() const {
-  obs::TraceExportMeta meta;
-  meta.task_component = engine_.taskComponents();
-  meta.task_completion.reserve(meta.task_component.size());
-  for (std::size_t task = 0; task < meta.task_component.size(); ++task) {
-    meta.task_completion.push_back(engine_.completionTime(task));
-  }
-  meta.num_controllers = config_.num_mem_controllers;
-  meta.final_tick = engine_.makespan();
-  return meta;
-}
-
 void SccMachine::writeTrace(std::ostream& out) const {
-  trace_.writeChromeJson(out, traceExportMeta());
+  trace_.writeChromeJson(out, config_.num_mem_controllers);
 }
 
 void SccMachine::writeTraceBinary(std::ostream& out) const {
@@ -1691,7 +1599,7 @@ void SccMachine::registerShmRegion(std::string name, std::uint64_t begin,
   if (drf_active_) drf_.registerRegion(name, begin, end);
   // No-op unless the profiling knob is on: workloads register their region
   // names unconditionally (makeShmArray), and a disabled knob must leave the
-  // hot paths with nothing to scan and the lane gate untouched.
+  // hot paths with nothing to scan.
   if (!config_.region_metrics) return;
   obs::RegionProfile region;
   region.name = std::move(name);

@@ -5,28 +5,23 @@
 // and exit Ticks of shmRead/shmWrite/swcacheRw/mpbRead/mpbWrite/bulk/sync
 // operations. Those boundary Ticks are exactly the quantities the coalescing
 // invariant (engine.h) guarantees are bit-identical across all coalescing
-// modes, and the conservative-PDES proof (docs/engine_parallel.md)
-// guarantees are bit-identical across engine_lanes=1/N. Recording at the
-// per-engine-event level instead would break both contracts: intermediate
-// event counts and ticks are mode-dependent by design. The one deliberately
+// modes. Recording at the per-engine-event level instead would break that
+// contract: intermediate event counts and ticks are mode-dependent by design. The one deliberately
 // mode-dependent category — coalesced-batch boundaries — is opt-in
 // (trace_batches) and documented as excluded from the identity contract.
 //
 // Determinism contract (a new oracle, tested in tests/test_obs.cpp):
 //   - traces contain only simulated time (Ticks), never wall clock;
-//   - with trace_batches off, an enabled trace is byte-identical across
-//     engine_lanes=1/N, all coalescing modes, and zero-rate armed fault
-//     plans (fault events are recorded only when a fault actually fires).
+//   - with trace_batches off, an enabled trace is byte-identical across all
+//     coalescing modes and zero-rate armed fault plans (fault events are
+//     recorded only when a fault actually fires).
 //
 // Zero overhead when disabled: every hook site is gated on one cached bool
 // (enabled()), the same discipline as FaultInjector::anyArmed(). The
 // recorder is wired but dormant unless SccConfig::trace_enabled is set.
 //
-// Lane safety: events are recorded into per-task buffers. Each root task is
-// resumed only on the lane that owns its component, and every cross-task
-// recording site (barrier release, lock grant) writes only to tasks in the
-// *same* component as the recording task, so no buffer is ever touched by
-// two lanes. Buffers are pre-sized by prepare() before lanes start.
+// Events are recorded into per-task buffers, pre-sized by prepare() before
+// the run starts.
 #pragma once
 
 #include <cstddef>
@@ -71,10 +66,7 @@ enum class TraceEventKind : std::uint8_t {
 [[nodiscard]] const char* traceEventName(TraceEventKind kind);
 [[nodiscard]] bool traceEventIsSpan(TraceEventKind kind);
 
-/// One recorded event. Task id is implicit (the buffer it lives in); the
-/// executing lane is deliberately NOT recorded — lane identity is derived at
-/// export time from the engine's deterministic component partition so the
-/// bytes cannot depend on engine_lanes.
+/// One recorded event. Task id is implicit (the buffer it lives in).
 struct TraceEvent {
   Tick start = 0;
   Tick end = 0;
@@ -83,16 +75,6 @@ struct TraceEvent {
   std::uint64_t c = 0;
   std::uint32_t resource = kNoTraceResource;  ///< registered resource id
   TraceEventKind kind = TraceEventKind::kShmRead;
-};
-
-/// Everything the exporter needs beyond the raw buffers. Built by
-/// SccMachine::traceExportMeta(); every field is a deterministic function of
-/// the run (component partition ignores lane count and done-ness).
-struct TraceExportMeta {
-  std::vector<std::uint32_t> task_component;  ///< task id -> component id
-  std::vector<Tick> task_completion;          ///< task id -> completion Tick
-  std::uint32_t num_controllers = 0;
-  Tick final_tick = 0;
 };
 
 /// Per-task ring-buffer trace store with a bounded-memory cap.
@@ -109,12 +91,11 @@ class TraceRecorder {
   [[nodiscard]] bool batchesEnabled() const { return enabled_ && batches_; }
 
   /// Size per-task buffers for `num_tasks` root tasks. Must be called before
-  /// a parallel run so lanes never resize the outer vector concurrently.
+  /// the run: record() never grows the per-task table.
   void prepare(std::size_t num_tasks);
 
   /// Record under a root task. Out-of-range ids (Engine::kNoTask, host
-  /// context) land in the shared host buffer — callers in parallel regions
-  /// always have a valid task id, so the host buffer stays single-threaded.
+  /// context) land in the shared host buffer.
   void record(std::size_t task_id, const TraceEvent& ev);
   void recordHost(const TraceEvent& ev) { record(kHostSlot, ev); }
 
@@ -126,11 +107,10 @@ class TraceRecorder {
   [[nodiscard]] std::vector<TraceEvent> hostEvents() const;
 
   /// Chrome trace-event JSON (catapult / Perfetto "traceEvents" array):
-  /// pid 1 = one thread per UE/task (spans + instants), pid 2 = one thread
-  /// per lane component (async task-lifetime spans), pid 3 = one counter
+  /// pid 1 = one thread per UE/task (spans + instants), pid 3 = one counter
   /// thread per memory controller (cumulative word transactions). Output is
-  /// a deterministic function of the recorded events and meta.
-  void writeChromeJson(std::ostream& out, const TraceExportMeta& meta) const;
+  /// a deterministic function of the recorded events and `num_controllers`.
+  void writeChromeJson(std::ostream& out, std::uint32_t num_controllers) const;
 
   /// Compact binary dump of the raw ring buffers (schema in
   /// docs/observability.md). Little-endian, field-by-field; carries per-task

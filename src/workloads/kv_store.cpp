@@ -277,7 +277,8 @@ std::vector<double> buildZipfCdf(std::uint32_t num_keys, double alpha) {
 
 /// The CDF is a pure function of (num_keys, alpha), so every generator with
 /// the same parameters shares one table, built on first use. Generators may
-/// be constructed on the lane engine's worker threads, hence the mutex.
+/// be constructed on several host threads at once (independent machines run
+/// side by side), hence the mutex.
 std::shared_ptr<const std::vector<double>> sharedZipfCdf(std::uint32_t num_keys,
                                                          double alpha) {
   static std::mutex mu;

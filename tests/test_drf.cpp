@@ -351,7 +351,7 @@ TEST(DrfMachine, RacyMpbPutsReported) {
   EXPECT_GT(runMachine(cfg, 2, setup).races, 0u);
 }
 
-TEST(DrfMachine, ReportsByteIdenticalAcrossLanesAndCoalescingModes) {
+TEST(DrfMachine, ReportsByteIdenticalAcrossCoalescingModes) {
   const auto setup = [](SccMachine& m) {
     const std::uint64_t off = m.shmalloc(64);
     m.launch(sim::LaunchSpec(8, [=](sim::CoreContext& ctx) {
@@ -363,22 +363,18 @@ TEST(DrfMachine, ReportsByteIdenticalAcrossLanesAndCoalescingModes) {
   const MachineRun ref = runMachine(base, 8, setup);
   EXPECT_GT(ref.races, 0u);
 
-  for (const std::uint32_t lanes : {1u, 4u}) {
-    for (const bool coalescing : {true, false}) {
-      for (const bool per_resource : {true, false}) {
-        SccConfig cfg;
-        cfg.drf_check = true;
-        cfg.engine_lanes = lanes;
-        cfg.shm_coalescing = coalescing;
-        cfg.mpb_coalescing = coalescing;
-        cfg.per_resource_horizon = per_resource;
-        const MachineRun run = runMachine(cfg, 8, setup);
-        EXPECT_EQ(run.reports, ref.reports)
-            << "lanes=" << lanes << " coalescing=" << coalescing
-            << " per_resource=" << per_resource;
-        EXPECT_EQ(run.makespan, ref.makespan);
-        EXPECT_EQ(run.completions, ref.completions);
-      }
+  for (const bool coalescing : {true, false}) {
+    for (const bool per_resource : {true, false}) {
+      SccConfig cfg;
+      cfg.drf_check = true;
+      cfg.shm_coalescing = coalescing;
+      cfg.mpb_coalescing = coalescing;
+      cfg.per_resource_horizon = per_resource;
+      const MachineRun run = runMachine(cfg, 8, setup);
+      EXPECT_EQ(run.reports, ref.reports)
+          << "coalescing=" << coalescing << " per_resource=" << per_resource;
+      EXPECT_EQ(run.makespan, ref.makespan);
+      EXPECT_EQ(run.completions, ref.completions);
     }
   }
 }

@@ -2,9 +2,9 @@
 // metrics registry (docs/observability.md).
 //
 // The load-bearing oracle is byte identity: an enabled trace must export the
-// exact same bytes across engine_lanes=1/N, every coalescing mode, and under
-// a zero-rate armed fault plan — and enabling the trace must not move a
-// single simulated Tick relative to an untraced run. The registry tests pin
+// exact same bytes across every coalescing mode and under a zero-rate armed
+// fault plan — and enabling the trace must not move a single simulated Tick
+// relative to an untraced run. The registry tests pin
 // the counter/gauge/histogram semantics and the sim/host domain split that
 // keeps RunResult::detail reproducible.
 #include <gtest/gtest.h>
@@ -121,9 +121,7 @@ TEST(TraceRecorder, RingKeepsNewestAndAccountsDropped) {
 
 /// Full-mix kernel: uncached shm block IO, an MPB deposit, a lock-guarded
 /// counter, and a global barrier per round — every traced operation family
-/// in one component (the global sync objects merge all tasks, so this runs
-/// sequential regardless of engine_lanes; the lanes oracle below uses the
-/// pair kernel instead).
+/// in one run.
 sim::SimTask obsMix(sim::CoreContext& ctx, std::uint64_t base, std::uint64_t counter,
                     std::uint64_t slot, int rounds, std::size_t block) {
   std::vector<std::uint8_t> buf(block);
@@ -147,29 +145,9 @@ sim::SimTask obsMix(sim::CoreContext& ctx, std::uint64_t base, std::uint64_t cou
   }
 }
 
-/// Controller-sharing UE pairs with pair-local sync groups and an empty MPB
-/// scope (the quadrant_pairs shape): four provably disjoint components, so
-/// engine_lanes=4 really shards — the regime the lane byte-identity oracle
-/// must cover.
-sim::SimTask pairKernel(sim::CoreContext& ctx, std::uint64_t base, int rounds,
-                        std::size_t block) {
-  std::vector<std::uint8_t> buf(block);
-  const auto ue = static_cast<std::uint64_t>(ctx.ue());
-  const std::uint64_t mine = base + ue * block;
-  for (int r = 0; r < rounds; ++r) {
-    for (int s = 0; s < 40; ++s) {
-      co_await ctx.compute(40 + (ue % 3) + static_cast<std::uint64_t>(s % 5));
-    }
-    co_await ctx.shmRead(mine, buf.data(), block);
-    co_await ctx.shmWrite(mine, buf.data(), block);
-    co_await ctx.barrier();  // pair-group barrier (LaunchSpec sync groups)
-  }
-}
-
 struct TraceRun {
   Tick makespan = 0;
   std::vector<Tick> completions;
-  std::uint32_t lanes_used = 1;
   std::uint64_t recorded = 0;
   std::uint64_t dropped = 0;
   std::string json;
@@ -190,29 +168,8 @@ TraceRun runObsMix(const SccConfig& cfg) {
   for (int ue = 0; ue < 8; ++ue) {
     r.completions.push_back(m.engine().completionTime(static_cast<std::size_t>(ue)));
   }
-  r.lanes_used = m.engine().lanesUsed();
   r.recorded = m.traceRecorder().recordedEvents();
   r.dropped = m.traceRecorder().droppedEvents();
-  std::ostringstream js, bs;
-  m.writeTrace(js);
-  m.writeTraceBinary(bs);
-  r.json = js.str();
-  r.binary = bs.str();
-  return r;
-}
-
-TraceRun runPairs(const SccConfig& cfg) {
-  SccMachine m(cfg);
-  const std::uint64_t base = m.shmalloc(8 * 256);
-  m.launch(sim::LaunchSpec(8, [=](sim::CoreContext& ctx) {
-             return pairKernel(ctx, base, 5, 256);
-           })
-               .withScope([](int, int) { return std::vector<int>{}; })
-               .withSyncGroups([](int ue, int) { return ue % 4; }));
-  TraceRun r;
-  r.makespan = m.run();
-  r.lanes_used = m.engine().lanesUsed();
-  r.recorded = m.traceRecorder().recordedEvents();
   std::ostringstream js, bs;
   m.writeTrace(js);
   m.writeTraceBinary(bs);
@@ -272,22 +229,6 @@ TEST(ObsTrace, ByteIdenticalAcrossSwcacheCoalescing) {
   EXPECT_EQ(a.binary, b.binary);
 }
 
-TEST(ObsTrace, ByteIdenticalAcrossEngineLanes) {
-  SccConfig seq = tracedConfig();
-  SccConfig par = tracedConfig();
-  par.engine_lanes = 4;
-
-  const TraceRun s = runPairs(seq);
-  const TraceRun p = runPairs(par);
-  EXPECT_GT(s.recorded, 0u);
-  // The parallel run must actually shard (otherwise this oracle is vacuous)…
-  EXPECT_GT(p.lanes_used, 1u);
-  // …and still export the exact same bytes.
-  EXPECT_EQ(s.makespan, p.makespan);
-  EXPECT_EQ(s.json, p.json);
-  EXPECT_EQ(s.binary, p.binary);
-}
-
 TEST(ObsTrace, ZeroRateArmedFaultPlanIsByteIdentical) {
   SccConfig plain = tracedConfig();
   SccConfig armed = tracedConfig();
@@ -344,10 +285,10 @@ TEST(ObsTrace, BinaryFormatCarriesMagicAndJsonParsesAsTraceEvents) {
   EXPECT_EQ(r.binary.substr(0, 8), "HSMTRC01");
   EXPECT_EQ(r.json.find("{\"displayTimeUnit\""), 0u);
   EXPECT_NE(r.json.find("\"traceEvents\""), std::string::npos);
-  // One track per UE plus the three process groups.
+  // One track per UE plus the two process groups.
   EXPECT_NE(r.json.find("\"ue 0\""), std::string::npos);
   EXPECT_NE(r.json.find("\"ue 7\""), std::string::npos);
-  EXPECT_NE(r.json.find("\"lane 0\""), std::string::npos);
+  EXPECT_EQ(r.json.find("\"pid\":2"), std::string::npos);
   EXPECT_NE(r.json.find("\"mc 0\""), std::string::npos);
   EXPECT_NE(r.json.find("\"barrier_wait\""), std::string::npos);
   EXPECT_NE(r.json.find("\"lock_wait\""), std::string::npos);
