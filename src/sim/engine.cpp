@@ -214,10 +214,23 @@ Tick Engine::wakeBound(std::size_t task, std::vector<std::size_t>& visited) cons
   return bound;
 }
 
-Tick Engine::nextEventTimeFor(std::uint32_t resource) const {
+Tick Engine::nextEventTimeFor(std::uint32_t resource,
+                              std::span<const Tick> excluded) const {
   if (resource_classes_.empty() || resource >= resource_classes_.size()) {
     return nextEventTime();
   }
+  // Each excluded instant cancels one matching pending occurrence.
+  excluded_left_.assign(excluded.begin(), excluded.end());
+  const auto cancelled = [this](Tick t) {
+    for (Tick& e : excluded_left_) {
+      if (e == t) {
+        e = excluded_left_.back();
+        excluded_left_.pop_back();
+        return true;
+      }
+    }
+    return false;
+  };
   // Blocked = alive but no pending event (parked on a lock/barrier). The
   // running task itself has no pending event either; it is excluded, not
   // blocked. A blocked task reaching this resource collapses the horizon to
@@ -238,7 +251,9 @@ Tick Engine::nextEventTimeFor(std::uint32_t resource) const {
         return nextEventTime();
       }
     }
-    for (const Tick t : classes_[cls].pending) horizon = std::min(horizon, t);
+    for (const Tick t : classes_[cls].pending) {
+      if (!cancelled(t)) horizon = std::min(horizon, t);
+    }
   }
 
   std::int64_t blocked_universal =
@@ -250,7 +265,9 @@ Tick Engine::nextEventTimeFor(std::uint32_t resource) const {
       return nextEventTime();
     }
   }
-  for (const Tick t : unaffined_pending_) horizon = std::min(horizon, t);
+  for (const Tick t : unaffined_pending_) {
+    if (!cancelled(t)) horizon = std::min(horizon, t);
+  }
 
   if (sync_aware_) {
     // Every registered blocked task that can reach this resource bounds the
@@ -271,26 +288,15 @@ std::uint32_t Engine::registerSyncObject() {
   return static_cast<std::uint32_t>(syncs_.size() - 1);
 }
 
-std::size_t Engine::aliveTasksReaching(std::uint32_t resource) const {
-  constexpr std::size_t kInexact = static_cast<std::size_t>(-1);
+std::size_t Engine::pendingEventsReaching(std::uint32_t resource) const {
   if (resource_classes_.empty() || resource >= resource_classes_.size()) {
-    return kInexact;
+    return static_cast<std::size_t>(-1);
   }
-  // Universal-reach activity (unaffined tasks, host events, live tasks
-  // predating registerResources) could touch the resource without appearing
-  // in any class bucket — the count would under-report.
-  if (unaffined_alive_ != 0 || !unaffined_pending_.empty() ||
-      uncounted_unaffined_pending_ != 0) {
-    return kInexact;
-  }
-  for (std::size_t id = 0; id < counted_tasks_from_ && id < tasks_.size(); ++id) {
-    if (id >= task_done_.size() || !task_done_[id]) return kInexact;
-  }
-  std::int64_t n = 0;
+  std::size_t n = unaffined_pending_.size();
   for (const std::uint32_t cls : resource_classes_[resource]) {
-    n += classes_[cls].alive;
+    n += classes_[cls].pending.size();
   }
-  return n < 0 ? kInexact : static_cast<std::size_t>(n);
+  return n;
 }
 
 void Engine::setSyncWakers(std::uint32_t sync, std::vector<std::size_t> wakers,

@@ -54,6 +54,15 @@
 // contiguous run of memory operations during which the caller performs no
 // sync-object operations — so a kAny sync skips it and a kAll sync whose
 // wakers include it can never release mid-batch at all.
+//
+// Joint batches: a platform model may also replay several tasks' runs on one
+// resource at once (SccMachine's contended word runs). It then asks for the
+// horizon with those tasks' pending instants `excluded` — it schedules those
+// events itself — and proves separately that no other pending event can
+// reach the resource. What remains is the wake bound of every parked task
+// that can: the instant before which the replay must finish. The excluded
+// tasks still count as wakers at their pending instants, which can only
+// make the bound earlier.
 // Under these rules coalescing may reduce `eventsProcessed()` but never
 // changes any Tick: makespan, per-task completion times, and every
 // resource-timeline state transition are bit-identical with coalescing on
@@ -67,6 +76,7 @@
 #include <cstdint>
 #include <exception>
 #include <functional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -308,7 +318,16 @@ class Engine {
   /// `resource` (see the header comment for the exactness argument). Falls
   /// back to the global nextEventTime() when a blocked task's waker set is
   /// unknown or sync-aware horizons are disabled.
-  [[nodiscard]] Tick nextEventTimeFor(std::uint32_t resource) const;
+  ///
+  /// `excluded` is a multiset of pending instants the caller accounts for
+  /// itself — a joint replay passes its peers' next-event instants, since it
+  /// schedules those words inline. Each listed instant cancels one matching
+  /// occurrence in the reach-class and universal buckets before the minimum
+  /// is taken. The blocked-task fallbacks and wake-chain bounds are NOT
+  /// adjusted: a peer still counts as a waker at its pending instant, which
+  /// only makes the bound earlier (conservative).
+  [[nodiscard]] Tick nextEventTimeFor(std::uint32_t resource,
+                                      std::span<const Tick> excluded = {}) const;
 
   /// Toggle the sync-aware wake-chain refinement of nextEventTimeFor()
   /// (default on). Off reproduces the blunt rule: any blocked task that can
@@ -357,14 +376,13 @@ class Engine {
   /// automatically when a wake is scheduled for the task.
   void blockOnSync(std::size_t task, std::uint32_t sync);
 
-  /// Number of alive (spawned, unfinished) tasks whose reach set contains
-  /// `resource` — including blocked ones and the caller. Returns SIZE_MAX
-  /// when the count cannot be exact (no resources registered, resource
-  /// unknown, universal-reach tasks alive, or universal/uncounted events
-  /// pending). Platform models use this to prove a contention pattern is
-  /// CLOSED: round-robin contention batching fires only when every task
-  /// that could ever touch a controller is a known member of the batch.
-  [[nodiscard]] std::size_t aliveTasksReaching(std::uint32_t resource) const;
+  /// Pending events that could touch `resource`: those in the reach classes
+  /// containing it plus every universal-bucket event (universal-reach tasks,
+  /// host events, tasks predating registerResources). SIZE_MAX when no
+  /// resources are registered or `resource` is unknown. O(classes). Platform
+  /// models use it to prove that every pending event bound for a resource
+  /// belongs to a known set of tasks (the joint replay's closure gate).
+  [[nodiscard]] std::size_t pendingEventsReaching(std::uint32_t resource) const;
 
   /// Pre-size the event heap (one slot per concurrently pending coroutine
   /// is enough; larger reservations just avoid early regrowth).
@@ -579,6 +597,9 @@ class Engine {
   /// Path buffer of nextEventTimeFor's wake-chain walk, reused so the
   /// per-query hot path stays allocation-free.
   mutable std::vector<std::size_t> wake_path_;
+  /// Not-yet-cancelled `excluded` instants of the current nextEventTimeFor
+  /// query (reused, allocation-free in steady state).
+  mutable std::vector<Tick> excluded_left_;
   std::vector<Tick> task_pending_when_;  ///< per task: pending event or kNever
   std::vector<Tick> task_blocked_at_;    ///< per task: when blockOnSync ran
   std::vector<std::uint8_t> task_done_;  ///< per task: finished flag

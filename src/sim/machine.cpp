@@ -797,7 +797,6 @@ SccMachine::SccMachine(SccConfig config)
   // Round-robin contention batching rides on the coalescing machinery and
   // replays the per-word interleaving exactly.
   shm_word_runs_.resize(config_.num_mem_controllers);
-  shm_run_seq_.assign(config_.num_mem_controllers, 1);
   shm_batching_ = config_.shm_contention_batching && config_.shm_coalescing;
   engine_.setHangDetection(true);
   engine_.setSyncTimeout(config_.sync_timeout_ticks);
@@ -1269,58 +1268,54 @@ bool SccMachine::solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way,
   if (runs.empty()) return false;
   const std::size_t self = engine_.currentTaskId();
   if (self == Engine::kNoTask) return false;
-  // Closure proof: every registered run must be an unsolved in-flight peer
-  // (a solved-but-unconsumed entry means that task's next move is already
-  // decided and acquired — nothing new may interleave until it resumes),
-  // and the peers plus this task must be ALL the alive tasks whose reach
-  // includes the controller. Then every pending event that can touch this
-  // timeline belongs to a member, and the joint replay below IS the engine's
-  // own schedule.
-  std::size_t peers = 0;
+  // Closure proof (header comment at WordRun). Every registered run must be
+  // an unsolved in-flight peer: a solved-but-unconsumed entry means that
+  // task's next move is already decided and acquired, so nothing new may
+  // interleave until it resumes. The peers' pending events must be ALL the
+  // pending events that can touch this controller, and `outside` bounds
+  // when any parked task reaching it could be woken.
+  peer_instants_.clear();
   for (const auto& [tid, r] : runs) {
     if (r.solved || r.remaining == 0) return false;
-    if (tid != self) ++peers;
+    if (tid != self) peer_instants_.push_back(r.t);
   }
+  const std::size_t peers = peer_instants_.size();
   if (peers == 0) return false;
-  if (engine_.aliveTasksReaching(mc_id) != peers + 1) return false;
+  if (engine_.pendingEventsReaching(mc_id) != peers) return false;
+  const Tick outside = engine_.nextEventTimeFor(mc_id, peer_instants_);
 
   struct Member {
     std::size_t task;
     Tick t;        ///< completion of its last word (next-event instant)
     Tick hop;
     std::size_t remaining;
-    std::uint64_t seq;  ///< schedule order of its pending event
-    bool is_self;
     std::size_t done = 0;  ///< words serviced by this replay
   };
   std::vector<Member> members;
   members.reserve(peers + 1);
   for (const auto& [tid, r] : runs) {
-    if (tid != self) {
-      members.push_back({tid, r.t, r.hop, r.remaining, r.seq, false});
-    }
+    if (tid != self) members.push_back({tid, r.t, r.hop, r.remaining});
   }
-  // Self is executing right now: its first acquire happens inside the live
-  // event, ahead of every pending event sharing its tick — stamp 0 (the
-  // recorded stamps start at 1) encodes that priority.
-  members.push_back({self, start, hop_one_way, max_words, 0, true});
+  members.push_back({self, start, hop_one_way, max_words});
 
   // Replay the joint FCFS recurrence in ENGINE order on a SCRATCH timeline:
   // the next word always belongs to the member whose pending event is
-  // earliest under the heap's own (time, schedule seq) key, and each word's
-  // acquire happens the instant its event would have fired. Arrival times,
-  // acquire order, and per-resource request indices (the kMcStall draw
-  // keys) are therefore identical to the per-event execution. The replay
-  // stops at the first completed run — beyond that instant the finished
-  // member may add traffic the joint schedule cannot see.
+  // earliest under the heap's own (time, task id) key, and each word's
+  // acquire happens the instant its event would have fired. Self's event is
+  // the one executing, so no pending event shares its key: its first word
+  // comes first. Arrival times, acquire order, and per-resource request
+  // indices (the kMcStall draw keys) are therefore identical to the
+  // per-event execution. The replay stops at the first completed run —
+  // beyond that instant the finished member may add traffic the joint
+  // schedule cannot see — and declines if a word would issue at or after
+  // `outside`.
   ResourceTimeline scratch = mc_[mc_id];
   const bool stall_armed = fault_.armed(FaultClass::kMcStall);
-  std::uint64_t next_stamp = shm_run_seq_[mc_id];
   Tick stall_total = 0;
   std::uint64_t stalls_injected = 0;
   std::uint64_t total_words = 0;
   // Trace records are deferred until the replay commits: a declined replay
-  // (boundary tie below) must leave no observable side effect.
+  // must leave no observable side effect.
   obs::TraceRecorder* tr = tracer(engine_);
   struct StallRec {
     std::size_t task;
@@ -1328,17 +1323,16 @@ bool SccMachine::solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way,
     Tick stall;
   };
   std::vector<StallRec> stall_recs;
-  const Member* finisher = nullptr;
-  while (finisher == nullptr) {
+  for (;;) {
     std::size_t pick = members.size();
     for (std::size_t i = 0; i < members.size(); ++i) {
-      if (members[i].remaining == 0) continue;
       if (pick == members.size() || members[i].t < members[pick].t ||
-          (members[i].t == members[pick].t && members[i].seq < members[pick].seq)) {
+          (members[i].t == members[pick].t && members[i].task < members[pick].task)) {
         pick = i;
       }
     }
     Member& m = members[pick];
+    if (m.t >= outside) return false;  // nothing committed yet
     const Tick arrival = m.t + uncached_overhead_ticks_ + m.hop;
     Tick svc = word_service_ticks_;
     if (stall_armed) {
@@ -1353,33 +1347,13 @@ bool SccMachine::solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way,
     }
     const Tick serviced = scratch.acquire(arrival, svc);
     m.t = serviced + m.hop;
-    // Completing a word schedules the member's next event NOW, in replay
-    // order — exactly the stamp the engine's next_seq counter would hand it.
-    m.seq = next_stamp++;
     ++m.done;
     ++total_words;
-    if (--m.remaining == 0) finisher = &m;
-  }
-
-  // Boundary guard: every member the replay advanced resumes through a
-  // RE-scheduled event whose heap seq reflects this execution, not the
-  // per-event one. Distinct resume ticks make that seq irrelevant; a tie
-  // could invert the acquire order, so decline (nothing committed yet —
-  // the per-event fallback is exact). Untouched members keep their
-  // original pending events and need no guard.
-  std::vector<Tick> boundary;
-  boundary.reserve(members.size());
-  for (const Member& m : members) {
-    if (m.done > 0) boundary.push_back(m.t);
-  }
-  std::sort(boundary.begin(), boundary.end());
-  if (std::adjacent_find(boundary.begin(), boundary.end()) != boundary.end()) {
-    return false;
+    if (--m.remaining == 0) break;
   }
 
   // Commit: timeline, fault bookkeeping, stats, per-member stash.
   mc_[mc_id] = scratch;
-  shm_run_seq_[mc_id] = next_stamp;
   if (tr != nullptr) {
     for (const StallRec& s : stall_recs) {
       tr->record(s.task, obs::TraceEvent{s.at, s.at, s.stall, 0, 0, mc_id,
@@ -1393,9 +1367,11 @@ bool SccMachine::solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way,
   if (stall_total > 0) fault_.stats().stall_ticks += stall_total;
   shm_words_ += total_words;
   mc_traffic_[mc_id] += total_words;
+  ++shm_joint_replays_;
+  shm_joint_replay_words_ += total_words;
   ++shm_word_events_;  // self's event
   for (const Member& m : members) {
-    if (m.is_self) {
+    if (m.task == self) {
       if (m.remaining == 0) {
         runs.erase(self);  // a continuation call's own stale entry, if any
       } else {
@@ -1403,7 +1379,6 @@ bool SccMachine::solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way,
         r.t = m.t;
         r.hop = m.hop;
         r.remaining = m.remaining;
-        r.seq = m.seq;
         r.solved = false;
         r.done = 0;
       }
@@ -1417,7 +1392,6 @@ bool SccMachine::solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way,
     r.done = m.done;
     r.final_t = m.t;
     r.remaining = m.remaining;
-    r.seq = m.seq;
   }
   if (trace_.batchesEnabled() && *words_done > 1) {
     trace_.record(self, obs::TraceEvent{start, *completion, *words_done, 0, 0,
@@ -1458,7 +1432,6 @@ Tick SccMachine::shmWordsOnController(std::uint32_t mc_id, Tick hop_one_way,
         r.t = t;
         r.hop = hop_one_way;
         r.remaining = max_words - *words_done;
-        r.seq = shm_run_seq_[mc_id]++;  // continuation scheduled now, in order
         r.solved = false;
       } else {
         runs.erase(task);

@@ -430,6 +430,12 @@ class SccMachine {
   [[nodiscard]] std::uint64_t shmWordEvents() const {
     return shm_word_events_;
   }
+  /// Joint replays committed by round-robin contention batching, and the
+  /// uncached words they serviced (a subset of shmWordsSimulated()).
+  [[nodiscard]] std::uint64_t shmJointReplays() const { return shm_joint_replays_; }
+  [[nodiscard]] std::uint64_t shmJointReplayWords() const {
+    return shm_joint_replay_words_;
+  }
   /// MPB chunk transactions simulated through the chunk-granular path.
   [[nodiscard]] std::uint64_t mpbChunksSimulated() const {
     return mpb_chunks_;
@@ -685,36 +691,43 @@ class SccMachine {
 
   // -- round-robin contention batching (config.shm_contention_batching) --
   // A contended controller serves k word-runs interleaved, one word per
-  // engine event each. When the machine can prove the contention pattern is
-  // CLOSED — every alive task whose reach includes the controller is mid
-  // word-run against it (Engine::aliveTasksReaching) — the joint FCFS
-  // recurrence over all k runs is replayed inline in engine order
-  // ((completion, schedule seq), the event heap's own order), so the
-  // controller timeline sees the exact per-event acquire sequence: same
-  // arrivals, same requests() indices (fault stall draws included), same
-  // completions. The replay commits only a PREFIX of the joint schedule —
-  // it stops the moment any member's run completes, because a finished
-  // member may immediately issue fresh traffic (a write run right after a
-  // read run) that must interleave with the words beyond that point. It
-  // also declines (leaving the per-event path to run, which is always
-  // exact) when two members' post-replay resume instants land on the same
-  // tick: those resumes are re-scheduled events, and their heap seq order
-  // could otherwise disagree with the order the per-event execution would
-  // have produced. Within those guards the batch is Tick-exact by
+  // engine event each. The joint replay (solveContendedRuns) replays the
+  // FCFS recurrence over all k runs inline instead, in the event heap's own
+  // (time, task id) order, so the controller timeline sees the exact
+  // per-event acquire sequence: same arrivals, same requests() indices
+  // (fault stall draws included), same completions. It fires only when the
+  // machine can prove that nothing outside the runs touches the controller
+  // before the replayed words are issued — the CLOSURE proof:
+  //   - every pending event that could touch the controller is a peer's
+  //     next word (Engine::pendingEventsReaching equals the peer count), so
+  //     every other alive task reaching it is parked;
+  //   - `outside` = Engine::nextEventTimeFor(controller, peers' instants)
+  //     bounds when any parked task could be woken (its wake chain; kNever
+  //     for a class-mate waiting at a barrier the replaying task has not
+  //     reached), and every replayed word is issued strictly before it.
+  // The replay stops at the first completed run — a finished member may
+  // immediately issue fresh traffic (a write run right after a read run)
+  // that must interleave with the words beyond that point. If a word it
+  // would pick is issued at or after `outside`, it declines outright and
+  // the per-event path (always exact) runs instead; a partial prefix is
+  // never committed, because it would leave peers solved but unconsumed and
+  // block every later replay on the controller. Equal-Tick ties between
+  // members resolve by task id, exactly as Engine::EventAfter does; the
+  // replaying task's own first word comes first because its event is the
+  // one executing. Within those guards the batch is Tick-exact by
   // construction; only the event count drops (a handful of events per
   // member per window instead of one per word). The closure proof also
   // leans on the machine's task model: every UE task spawns in launch(),
   // before run(), so no task that could reach the controller appears after
-  // the count is taken. Data ops still execute in each task's program
-  // order but no longer interleave across tasks word by word, so
-  // functional results are preserved for data-race-free programs (the same
-  // contract the swcache states in docs/memory_model.md).
+  // the proof is taken. Data ops still execute in each task's program order
+  // but no longer interleave across tasks word by word, so functional
+  // results are preserved for data-race-free programs (the same contract
+  // the swcache states in docs/memory_model.md).
   /// One task's in-flight word-run against a controller.
   struct WordRun {
-    Tick t = 0;        ///< completion of its last serviced word
+    Tick t = 0;        ///< completion of its last serviced word (its pending event)
     Tick hop = 0;      ///< its one-way mesh latency to this controller
     std::size_t remaining = 0;  ///< words left in the run
-    std::uint64_t seq = 0;      ///< schedule order of its pending event
     bool solved = false;        ///< a joint replay precomputed words for it
     std::size_t done = 0;       ///< words the replay serviced (when solved)
     Tick final_t = 0;  ///< completion of the last replayed word (when solved)
@@ -723,11 +736,11 @@ class SccMachine {
   /// stores the full remaining word count and returns the run's completion.
   bool consumeSolvedRun(std::uint32_t mc_id, std::size_t* words_done,
                         Tick* completion);
-  /// Attempt the joint solve for the calling task's fresh run (`max_words`
-  /// from `start`): fires only when every other alive task reaching the
-  /// controller has an unsolved in-flight run registered. On success the
-  /// whole run is serviced (*words_done = max_words), peers' completions are
-  /// stashed for their next resume, and the completion Tick is returned.
+  /// Attempt the joint replay for the calling task's run (`max_words` from
+  /// `start`) against the registered peers' runs, under the closure proof
+  /// above. On success the words up to the first completed run are
+  /// serviced, peers' completions are stashed for their next resume, and
+  /// the caller's completion Tick and word count are returned.
   bool solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way, Tick start,
                           std::size_t max_words, std::size_t* words_done,
                           Tick* completion);
@@ -825,14 +838,13 @@ class SccMachine {
   /// Per controller: tasks mid word-run against it (round-robin contention
   /// batching bookkeeping; a handful of entries at most).
   std::vector<std::unordered_map<std::size_t, WordRun>> shm_word_runs_;
-  /// Per controller: monotone stamp mirroring the engine's event-schedule
-  /// order. A WordRun recorded later has a later pending event, so ties at
-  /// equal completion Ticks resolve exactly as the event heap would. Starts
-  /// at 1 so the joint replay can hand the currently-executing task stamp 0:
-  /// its first acquire happens inside the live event, ahead of every pending
-  /// event that shares its tick. Stamps are only ever compared within one
-  /// controller's run set.
-  std::vector<std::uint64_t> shm_run_seq_;
+  /// Peers' next-event instants of the current joint replay (the
+  /// `excluded` set of its horizon query); reused across calls.
+  std::vector<Tick> peer_instants_;
+  /// Committed joint replays and the words they serviced (work counters;
+  /// no Tick depends on them).
+  std::uint64_t shm_joint_replays_ = 0;
+  std::uint64_t shm_joint_replay_words_ = 0;
   /// Cached hot-path gate: config_.shm_contention_batching AND
   /// shm_coalescing (the off mode stays the untouched per-word reference).
   bool shm_batching_ = false;

@@ -182,6 +182,12 @@ MetricsSnapshot collectMetrics(const SccMachine& machine) {
   // ---- shared-memory / MPB traffic -----------------------------------
   reg.counter("shm_words").add(machine.shmWordsSimulated());
   reg.counter("shm_word_events").add(machine.shmWordEvents());
+  // Joint-replay work counters appear only once a replay committed: absent
+  // means zero, so runs that never replay keep an unchanged metric set.
+  if (machine.shmJointReplays() > 0) {
+    reg.counter("shm_joint_replays").add(machine.shmJointReplays());
+    reg.counter("shm_joint_replay_words").add(machine.shmJointReplayWords());
+  }
   reg.counter("shm_bulk_lines").add(machine.shmBulkLinesSimulated());
   reg.counter("mpb_chunks").add(machine.mpbChunksSimulated());
   reg.counter("mpb_chunk_events").add(machine.mpbChunkEvents());

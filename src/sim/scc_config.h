@@ -123,12 +123,13 @@ struct SccConfig {
   /// global event queue (sim/engine.h's wake-chain rule). Tick-exact either
   /// way; off reproduces the blunt any-blocked-task-goes-global fallback.
   bool sync_aware_horizon = true;
-  /// Round-robin contention batching: when every alive task that can reach a
-  /// memory controller is running an identical word-run against it (the
-  /// provably-interleaved round-robin pattern of shm_words_contended_8ue),
-  /// fold all k interleaved per-word turns into one engine event per task by
-  /// replaying the joint FCFS recurrence inline. Tick-exact by construction
-  /// (the controller timeline sees the same arrival order); exposed so the
+  /// Round-robin contention batching: when the only pending events that can
+  /// reach a memory controller are k in-flight word runs against it (every
+  /// other task that can reach it is parked, e.g. at a barrier, with a
+  /// bounded wake chain), fold the k interleaved per-word turns into a few
+  /// engine events per task by replaying the joint FCFS recurrence inline
+  /// (SccMachine::solveContendedRuns). Tick-exact by construction (the
+  /// controller timeline sees the same arrival order); exposed so the
   /// equivalence tests and benchmarks can A/B it.
   bool shm_contention_batching = true;
 

@@ -335,6 +335,16 @@ TEST(DrfMachine, RacyKernelReportedSyncedKernelsClean) {
   EXPECT_EQ(runMachine(cfg, 4, barriered).races, 0u);
 }
 
+/// Deposits 32 bytes into `slot` of UE 0's MPB after a per-UE delay. A named
+/// coroutine, not a capturing lambda: the coroutine frame copies its
+/// parameters, whereas a lambda coroutine would read its captures from a
+/// closure that dies when launch() returns.
+sim::SimTask putIntoUe0(sim::CoreContext& ctx, std::uint64_t slot) {
+  std::uint8_t buf[32] = {};
+  co_await ctx.compute(100 + static_cast<std::uint64_t>(ctx.ue()) * 77);
+  co_await rcce::put(ctx, 0, slot, buf, sizeof(buf));
+}
+
 TEST(DrfMachine, RacyMpbPutsReported) {
   // Two UEs deposit into the SAME slot of UE 0's MPB with no ordering edge.
   SccConfig cfg;
@@ -342,11 +352,8 @@ TEST(DrfMachine, RacyMpbPutsReported) {
   const auto setup = [](SccMachine& m) {
     rcce::RcceEnv env(m);
     const std::uint64_t slot = env.mpbMallocSymmetric(2, 64);
-    m.launch(sim::LaunchSpec(2, [=](sim::CoreContext& ctx) -> sim::SimTask {
-      std::uint8_t buf[32] = {};
-      co_await ctx.compute(100 + static_cast<std::uint64_t>(ctx.ue()) * 77);
-      co_await rcce::put(ctx, 0, slot, buf, sizeof(buf));
-    }));
+    m.launch(sim::LaunchSpec(
+        2, [=](sim::CoreContext& ctx) { return putIntoUe0(ctx, slot); }));
   };
   EXPECT_GT(runMachine(cfg, 2, setup).races, 0u);
 }
@@ -402,16 +409,21 @@ TEST(DrfMachine, EnablingCheckerMovesNoTick) {
   EXPECT_EQ(r_word.completions, r_off.completions);
 }
 
+/// Each UE writes its id into its own 8-byte slot after a per-UE delay
+/// (a named coroutine for the same frame-lifetime reason as putIntoUe0).
+sim::SimTask writeOwnSlot(sim::CoreContext& ctx, std::uint64_t base) {
+  const auto ue = static_cast<std::uint64_t>(ctx.ue());
+  std::uint64_t v = ue;
+  co_await ctx.compute(200 + ue * 111);
+  co_await ctx.shmWrite(base + ue * 8, &v, sizeof(v));
+}
+
 TEST(DrfMachine, CachedSlotsFalseShareLineModeOnly) {
   const auto setup = [](SccMachine& m) {
     const std::uint64_t base = m.shmalloc(64);
     m.setShmCacheability(base, base + 64, true);
-    m.launch(sim::LaunchSpec(4, [=](sim::CoreContext& ctx) -> sim::SimTask {
-      const auto ue = static_cast<std::uint64_t>(ctx.ue());
-      std::uint64_t v = ue;
-      co_await ctx.compute(200 + ue * 111);
-      co_await ctx.shmWrite(base + ue * 8, &v, sizeof(v));
-    }));
+    m.launch(sim::LaunchSpec(
+        4, [=](sim::CoreContext& ctx) { return writeOwnSlot(ctx, base); }));
   };
   SccConfig line;
   line.drf_check = true;

@@ -122,6 +122,39 @@ TEST(Engine, UnaffinedTaskBoundsEveryHorizon) {
   EXPECT_EQ(horizons[1], 200u);
 }
 
+SimTask probeExcluded(Engine& engine, std::vector<Tick>& out,
+                      std::vector<std::size_t>& pending) {
+  co_await engine.delay(40);
+  using Instants = std::vector<Tick>;
+  for (const Instants& excluded :
+       {Instants{}, Instants{300}, Instants{300, 300}, Instants{500, 300, 300},
+        Instants{700}}) {
+    out.push_back(engine.nextEventTimeFor(0, excluded));
+  }
+  for (const std::uint32_t resource : {0u, 1u, 2u}) {
+    pending.push_back(engine.pendingEventsReaching(resource));
+  }
+}
+
+// A joint batch excludes its members' pending instants from the horizon:
+// each listed instant cancels exactly one matching pending event, and an
+// instant with no match cancels nothing.
+TEST(Engine, ExcludedInstantsCancelOnePendingEventEach) {
+  Engine engine;
+  engine.registerResources(2);
+  std::vector<Tick> horizons;
+  std::vector<std::size_t> pending;
+  engine.spawn(idleUntil(engine, 300), 0, 0);
+  engine.spawn(idleUntil(engine, 300), 0, 0);
+  engine.spawn(idleUntil(engine, 500), 0, 0);
+  engine.spawn(probeExcluded(engine, horizons, pending), 0, 1);
+  engine.run();
+  EXPECT_EQ(horizons, (std::vector<Tick>{300, 300, 500, Engine::kNever, 300}));
+  // Res 0 has three pending events; res 1 none (its only task is the
+  // running probe); resource 2 was never registered.
+  EXPECT_EQ(pending, (std::vector<std::size_t>{3, 0, static_cast<std::size_t>(-1)}));
+}
+
 /// Parks the coroutine without scheduling any wake: from the engine's view
 /// the task is alive but has no pending event (like a lock/barrier waiter).
 struct ParkAwaiter {

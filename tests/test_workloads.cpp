@@ -178,6 +178,47 @@ TEST(Workloads, PthreadSourcesExistForAllBenchmarks) {
   EXPECT_THROW((void)pthreadSource("NoSuchBenchmark"), std::out_of_range);
 }
 
+// --- joint replay vs the per-word oracle ---------------------------------------
+// Stream and LU are the benchmarks whose word runs contend at the controllers;
+// LU parks the UEs that own no row at a step at the barrier while their
+// class-mates stream. At the benchmark's problem size, the default config
+// (coalescing plus the joint replay) must reproduce the per-word path's
+// makespan at every UE count, including uneven spreads over the four
+// controllers (5, 17) and more UEs than one per tile (48).
+
+TEST(JointReplay, StreamAndLuMakespansEqualThePerWordPath) {
+  sim::SccConfig per_word;
+  per_word.shm_coalescing = false;
+  per_word.mpb_coalescing = false;
+  const sim::SccConfig defaults;
+  for (const auto& bench : {makeStream(1.0), makeLuDecomposition(1.0)}) {
+    for (const Mode mode : {Mode::RcceOffChip, Mode::RcceMpb}) {
+      for (const int ues : {5, 8, 17, 32, 48}) {
+        const RunResult fast = bench->run(mode, ues, defaults);
+        const RunResult oracle = bench->run(mode, ues, per_word);
+        EXPECT_EQ(fast.makespan, oracle.makespan)
+            << bench->name() << " " << modeName(mode) << " at " << ues << " UEs";
+        EXPECT_TRUE(fast.verified) << fast.detail;
+      }
+    }
+  }
+}
+
+// The replay's work counters are exact and deterministic: pin them for the
+// benchmark's 32-UE LU off-chip job, where barrier-parked class-mates are
+// admitted through their wake bounds. A change here changes what the replay
+// admits and must be explained.
+TEST(JointReplay, LuOffChipWorkCountersAt32Ues) {
+  const sim::SccConfig config;
+  const RunResult r = makeLuDecomposition(1.0)->run(Mode::RcceOffChip, 32, config);
+  ASSERT_TRUE(r.verified) << r.detail;
+  const auto& counters = r.metrics.sim_counters;
+  ASSERT_TRUE(counters.contains("shm_joint_replays"));
+  EXPECT_EQ(counters.at("shm_joint_replays"), 1823u);
+  EXPECT_EQ(counters.at("shm_joint_replay_words"), 710603u);
+  EXPECT_EQ(counters.at("events"), 49081u);
+}
+
 // --- closed-form kernels vs the naive loops -----------------------------------
 
 /// Algorithm 11's inner loop as written: trial division by every j < i.
