@@ -4,22 +4,22 @@
 // scripts/compare_bench.py gates regressions).
 //
 // The coalescable scenarios (word-granular shared memory AND chunk-granular
-// MPB put/get) run four ways — per-resource-horizon coalescing with
-// sync-aware wake chains, legacy global-horizon coalescing, sync-blind
-// per-resource coalescing, and coalescing off — and verify the engine's
-// equivalence bar: coalescing may eliminate events but must leave the
-// makespan and every per-task completion Tick bit-identical across all
-// modes. Scenarios with a plan-driven twin (ExecutionPlan-launched,
-// regions mapped in the cacheability map) hold the twin to the same
-// bit-identity bar, and the mixed_policy_8ue scenario gates the
-// ExecutionPlan payoff: a per-region cached/uncached split must beat both
-// machine-wide settings. A violated bar makes the process exit non-zero,
-// so this binary doubles as a CI smoke test.
+// MPB put/get) run twice — coalesced (SccConfig::coalescing, the default)
+// and on the per-word path that is the Tick oracle — and verify the
+// engine's equivalence bar: coalescing may eliminate events but must leave
+// the makespan and every per-task completion Tick bit-identical. Scenarios
+// with a plan-driven twin (ExecutionPlan-launched, regions mapped in the
+// cacheability map) hold the twin to the same bit-identity bar, and the
+// mixed_policy_8ue scenario gates the ExecutionPlan payoff: a per-region
+// cached/uncached split must beat both machine-wide settings. A violated
+// bar makes the process exit non-zero, so this binary doubles as a CI
+// smoke test.
 //
 // Reported per timed run: host wall seconds, engine events, events/sec,
 // simulated uncached words / MPB chunks and the engine events they cost
 // (their combined ratio is the coalescing rate), plus derived
 // speedup/reduction ratios per scenario.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -42,9 +42,7 @@ using namespace hsm;
 using sim::Tick;
 
 struct Mode {
-  bool coalescing = true;      ///< gates both shm_coalescing and mpb_coalescing
-  bool per_resource = true;    ///< scoped (controller/port) vs global horizon
-  bool sync_aware = true;      ///< wake-chain horizon refinement
+  bool coalescing = true;  ///< SccConfig::coalescing (false = per-word oracle)
   /// Shared-memory routing: 0 = uncached words, 1 = swcache write-back,
   /// 2 = swcache write-through no-allocate.
   int swcache = 0;
@@ -134,10 +132,7 @@ RunStats runWorkloadOnce(const Workload& w, const Mode& mode,
   RunStats stats;
   for (int rep = 0; rep < w.repetitions; ++rep) {
     sim::SccConfig cfg;
-    cfg.shm_coalescing = mode.coalescing;
-    cfg.mpb_coalescing = mode.coalescing;
-    cfg.per_resource_horizon = mode.per_resource;
-    cfg.sync_aware_horizon = mode.sync_aware;
+    cfg.coalescing = mode.coalescing;
     cfg.shm_swcache = mode.swcache != 0;
     cfg.swcache_policy = mode.swcache == 2 ? 1 : 0;
     cfg.trace_enabled = mode.trace;
@@ -211,8 +206,8 @@ sim::SimTask staggeredMix(sim::CoreContext& ctx, std::uint64_t base, int iterati
 }
 
 /// Lock- and barrier-punctuated block IO: the nastiest mode for coalescing
-/// because blocked waiters force the per-controller horizon back to the
-/// global one until every task is pending again.
+/// because every parked waiter bounds the per-controller horizon through
+/// its lock's or barrier's wake chain.
 sim::SimTask syncedMix(sim::CoreContext& ctx, std::uint64_t base,
                        std::uint64_t counter_off, int iterations,
                        std::size_t block_bytes) {
@@ -585,15 +580,12 @@ struct DrfRun {
   std::string reports;              ///< DrfChecker::formatReports()
 };
 
-DrfRun runDrfOnce(bool drf, bool word_granular, bool coalescing,
-                  bool per_resource, int ues,
+DrfRun runDrfOnce(bool drf, bool word_granular, bool coalescing, int ues,
                   const std::function<void(sim::SccMachine&)>& setup) {
   sim::SccConfig cfg;
   cfg.drf_check = drf;
   cfg.drf_word_granular = word_granular;
-  cfg.shm_coalescing = coalescing;
-  cfg.mpb_coalescing = coalescing;
-  cfg.per_resource_horizon = per_resource;
+  cfg.coalescing = coalescing;
   sim::SccMachine m(cfg);
   setup(m);
   DrfRun r;
@@ -648,7 +640,9 @@ int main(int argc, char** argv) {
   // --scenario NAME runs just that scenario (CI uses it to run the fault
   // sweep under sanitizers without paying for the full matrix). Skipped
   // sections leave their ok-flags true and their JSON entries absent;
-  // compare_bench.py only gates full runs.
+  // compare_bench.py only gates full runs. A NAME outside kScenarioNames
+  // (or a bare --scenario) is an error: it would otherwise run nothing and
+  // report every check as passed.
   // --list-scenarios prints one scenario name per line and exits — the
   // discovery hook for CI matrices and humans narrowing a --scenario run.
   // Must track the scenario blocks below.
@@ -671,7 +665,17 @@ int main(int argc, char** argv) {
       for (const char* name : kScenarioNames) std::puts(name);
       return 0;
     }
-    if (std::string(argv[i]) == "--scenario" && i + 1 < argc) only = argv[i + 1];
+    if (std::string(argv[i]) == "--scenario") {
+      only = i + 1 < argc ? argv[i + 1] : "";
+      if (std::find(std::begin(kScenarioNames), std::end(kScenarioNames), only) ==
+          std::end(kScenarioNames)) {
+        std::fprintf(stderr,
+                     "micro_sim: unknown or missing --scenario name '%s' "
+                     "(--list-scenarios prints the valid names)\n",
+                     only.c_str());
+        return 2;
+      }
+    }
     if (std::string(argv[i]) == "--trace-out" && i + 1 < argc) trace_out = argv[i + 1];
   }
   const auto want = [&only](const std::string& name) {
@@ -681,9 +685,8 @@ int main(int argc, char** argv) {
   bool all_identical = true;
   std::string json = "{\n  \"bench\": \"micro_sim\",\n  \"scenarios\": [\n";
 
-  // Shared-memory word-granular scenarios: three-way equivalence matrix
-  // (per-controller horizon / legacy global horizon / coalescing off) with a
-  // hard tick-equivalence check across all modes.
+  // Shared-memory word-granular scenarios: coalesced vs per-word, with a
+  // hard tick-equivalence check.
   //
   // The two MPB scenarios launch plan-driven: an ExecutionPlan supplies the
   // per-UE owner sets that used to be hand-built MpbScope lambdas. The plans
@@ -781,23 +784,15 @@ int main(int argc, char** argv) {
   bool first = true;
   for (const Workload& w : ab) {
     if (!want(w.name)) continue;
-    const RunStats on = runWorkload(w, Mode{true, true, true});
-    const RunStats global = runWorkload(w, Mode{true, false, true});
-    const RunStats off = runWorkload(w, Mode{false, false, true});
-    // Sync-blind: scoped horizons but the blunt any-blocked-task-goes-global
-    // fallback — isolates what the wake-chain rule buys on synced phases.
-    const RunStats blind = runWorkload(w, Mode{true, true, false});
+    const RunStats on = runWorkload(w, Mode{true});
+    const RunStats off = runWorkload(w, Mode{false});
     bool identical = on.makespan == off.makespan &&
-                     on.completions == off.completions &&
-                     global.makespan == off.makespan &&
-                     global.completions == off.completions &&
-                     blind.makespan == off.makespan &&
-                     blind.completions == off.completions;
+                     on.completions == off.completions;
     if (w.setup_plan) {
       // ExecutionPlan-launched, cacheability-mapped twin: the plan-driven
       // API must not move a single Tick on legacy-knob scenarios.
       const RunStats plan_run =
-          runWorkload(w, Mode{true, true, true}, /*plan_setup=*/true);
+          runWorkload(w, Mode{true}, /*plan_setup=*/true);
       identical = identical && plan_run.makespan == off.makespan &&
                   plan_run.completions == off.completions;
     }
@@ -807,10 +802,6 @@ int main(int argc, char** argv) {
         off.events > 0
             ? 1.0 - static_cast<double>(on.events) / static_cast<double>(off.events)
             : 0.0;
-    const double event_reduction_global =
-        off.events > 0
-            ? 1.0 - static_cast<double>(global.events) / static_cast<double>(off.events)
-            : 0.0;
     const double wall_speedup =
         on.wall_seconds > 0 ? off.wall_seconds / on.wall_seconds : 0.0;
 
@@ -819,17 +810,12 @@ int main(int argc, char** argv) {
     json += "    {\"name\": \"" + w.name + "\",\n";
     printRun(&json, "coalesced", on);
     json += ",\n";
-    printRun(&json, "global_horizon", global);
-    json += ",\n";
-    printRun(&json, "sync_blind", blind);
-    json += ",\n";
     printRun(&json, "legacy", off);
     char buf[400];
     std::snprintf(buf, sizeof(buf),
                   ",\n      \"ticks_identical\": %s, \"event_reduction\": %.4f, "
-                  "\"event_reduction_global_horizon\": %.4f, \"wall_speedup\": %.2f}",
-                  identical ? "true" : "false", event_reduction,
-                  event_reduction_global, wall_speedup);
+                  "\"wall_speedup\": %.2f}",
+                  identical ? "true" : "false", event_reduction, wall_speedup);
     json += buf;
   }
 
@@ -910,9 +896,9 @@ int main(int argc, char** argv) {
     };
     for (const Workload& w : cached_ab) {
       if (!want(w.name)) continue;
-      const RunStats cached = runWorkload(w, Mode{true, true, true, 1});
-      const RunStats uncached = runWorkload(w, Mode{true, true, true, 0});
-      const RunStats wthrough = runWorkload(w, Mode{true, true, true, 2});
+      const RunStats cached = runWorkload(w, Mode{true, 1});
+      const RunStats uncached = runWorkload(w, Mode{true, 0});
+      const RunStats wthrough = runWorkload(w, Mode{true, 2});
       const bool functional = cached.result_bytes == uncached.result_bytes &&
                               wthrough.result_bytes == uncached.result_bytes;
       const double hit_rate = cached.swcacheHitRate();
@@ -990,9 +976,9 @@ int main(int argc, char** argv) {
       };
       return w;
     };
-    const RunStats mixed = runWorkload(makeWorkload(0), Mode{true, true, true, 0});
-    const RunStats cached = runWorkload(makeWorkload(1), Mode{true, true, true, 1});
-    const RunStats uncached = runWorkload(makeWorkload(2), Mode{true, true, true, 0});
+    const RunStats mixed = runWorkload(makeWorkload(0), Mode{true, 0});
+    const RunStats cached = runWorkload(makeWorkload(1), Mode{true, 1});
+    const RunStats uncached = runWorkload(makeWorkload(2), Mode{true, 0});
 
     // Simulated words per simulated second: deterministic (derived from the
     // makespan, not host wall time), so the "mixed beats both" bar is exact.
@@ -1239,14 +1225,12 @@ int main(int argc, char** argv) {
         return racyCounter(ctx, counter, 4);
       }));
     };
-    const DrfRun line = runDrfOnce(true, false, true, true, 8, setup);
-    const DrfRun word = runDrfOnce(true, true, true, true, 8, setup);
-    const DrfRun off = runDrfOnce(false, false, true, true, 8, setup);
-    const DrfRun global = runDrfOnce(true, false, true, false, 8, setup);
-    const DrfRun nocoal = runDrfOnce(true, false, false, false, 8, setup);
+    const DrfRun line = runDrfOnce(true, false, true, 8, setup);
+    const DrfRun word = runDrfOnce(true, true, true, 8, setup);
+    const DrfRun off = runDrfOnce(false, false, true, 8, setup);
+    const DrfRun nocoal = runDrfOnce(true, false, false, 8, setup);
     const bool detected = line.races > 0 && word.races > 0;
-    const bool deterministic =
-        global.reports == line.reports && nocoal.reports == line.reports;
+    const bool deterministic = nocoal.reports == line.reports;
     const bool ticks_unchanged =
         off.makespan == line.makespan && off.completions == line.completions;
     drf_ok = drf_ok && detected && deterministic && ticks_unchanged;
@@ -1275,9 +1259,9 @@ int main(int argc, char** argv) {
         return falseSharingSlots(ctx, base, 4);
       }));
     };
-    const DrfRun line = runDrfOnce(true, false, true, true, 8, setup);
-    const DrfRun word = runDrfOnce(true, true, true, true, 8, setup);
-    const DrfRun nocoal = runDrfOnce(true, false, false, false, 8, setup);
+    const DrfRun line = runDrfOnce(true, false, true, 8, setup);
+    const DrfRun word = runDrfOnce(true, true, true, 8, setup);
+    const DrfRun nocoal = runDrfOnce(true, false, false, 8, setup);
     const bool detected =
         line.races > 0 && line.false_sharing_only && word.races == 0;
     const bool deterministic = nocoal.reports == line.reports;
@@ -1364,8 +1348,7 @@ int main(int argc, char** argv) {
     };
     const auto runSynced = [&](bool traced, bool coalescing) {
       sim::SccConfig cfg;
-      cfg.shm_coalescing = coalescing;
-      cfg.mpb_coalescing = coalescing;
+      cfg.coalescing = coalescing;
       cfg.trace_enabled = traced;
       sim::SccMachine m(cfg);
       const std::uint64_t base = m.shmalloc(8 * kBlock + 8);

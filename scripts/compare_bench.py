@@ -20,6 +20,11 @@ Fails (exit 1) when:
     controller_load_cv values shift against the baseline (striped must not
     fall, placed must not rise),
   * a scenario present in the baseline is missing from the PR run,
+  * a scenario's coalesced run reports a different engine work count than
+    the baseline: `events`, `shm_word_events` and `mpb_chunk_events` are
+    deterministic, so they must match exactly — any change, up or down, is
+    a kernel change the PR must explain by regenerating the baseline (this
+    is what guards the coalescing horizons' tightness),
   * simulator throughput of a scenario's coalesced run regresses more than
     the tolerance (default 15%, override with --tolerance) after normalizing
     for overall machine speed,
@@ -57,6 +62,8 @@ import math
 import sys
 
 RATE_EPSILON = 0.005  # coalescing_rate is emitted with 4 decimals
+# Deterministic engine work counters of a coalesced run, gated exactly.
+WORK_COUNTERS = ("events", "shm_word_events", "mpb_chunk_events")
 
 
 def main() -> int:
@@ -217,6 +224,14 @@ def main() -> int:
     print(f"machine speed vs baseline (geomean of ratios): {machine_speed:.3f}")
 
     for name, base_run, pr_run in pairs:
+        for counter in WORK_COUNTERS:
+            if counter in base_run and base_run[counter] != pr_run.get(counter):
+                failures.append(
+                    f"{name}: {counter} changed {base_run[counter]} -> "
+                    f"{pr_run.get(counter)} (deterministic work counter; "
+                    "regenerate the baseline if the change is intended)"
+                )
+
         metric, base_value = throughput(base_run)
         _, pr_value = throughput(pr_run)
         normalized = pr_value / machine_speed if machine_speed > 0 else pr_value

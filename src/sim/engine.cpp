@@ -235,7 +235,7 @@ Tick Engine::nextEventTimeFor(std::uint32_t resource,
   // running task itself has no pending event either; it is excluded, not
   // blocked. A blocked task reaching this resource collapses the horizon to
   // the global one UNLESS every such task is registered against a sync
-  // object whose waker chain the kernel can bound (sync_aware_).
+  // object whose waker chain the kernel can bound.
   const std::size_t running = currentTaskId();
   const bool adjust_cur = running != kNoTask && running >= counted_tasks_from_ &&
                           running < task_class_.size();
@@ -246,11 +246,7 @@ Tick Engine::nextEventTimeFor(std::uint32_t resource,
     std::int64_t blocked = classes_[cls].alive -
                            static_cast<std::int64_t>(classes_[cls].pending.size());
     if (adjust_cur && cur_cls == cls) --blocked;
-    if (blocked > 0) {
-      if (!sync_aware_ || blocked > classes_[cls].blocked_registered) {
-        return nextEventTime();
-      }
-    }
+    if (blocked > classes_[cls].blocked_registered) return nextEventTime();
     for (const Tick t : classes_[cls].pending) {
       if (!cancelled(t)) horizon = std::min(horizon, t);
     }
@@ -260,25 +256,19 @@ Tick Engine::nextEventTimeFor(std::uint32_t resource,
       unaffined_alive_ - static_cast<std::int64_t>(unaffined_pending_.size() -
                                                    uncounted_unaffined_pending_);
   if (adjust_cur && cur_cls == kUniversalClass) --blocked_universal;
-  if (blocked_universal > 0) {
-    if (!sync_aware_ || blocked_universal > universal_blocked_registered_) {
-      return nextEventTime();
-    }
-  }
+  if (blocked_universal > universal_blocked_registered_) return nextEventTime();
   for (const Tick t : unaffined_pending_) {
     if (!cancelled(t)) horizon = std::min(horizon, t);
   }
 
-  if (sync_aware_) {
-    // Every registered blocked task that can reach this resource bounds the
-    // horizon by the earliest execution of its wake chain.
-    for (const std::size_t b : blocked_tasks_) {
-      const std::uint32_t cls = classOfTask(b);
-      if (cls != kUniversalClass && !classReaches(cls, resource)) continue;
-      wake_path_.clear();
-      wake_path_.push_back(b);
-      horizon = std::min(horizon, wakeBound(b, wake_path_));
-    }
+  // Every registered blocked task that can reach this resource bounds the
+  // horizon by the earliest execution of its wake chain.
+  for (const std::size_t b : blocked_tasks_) {
+    const std::uint32_t cls = classOfTask(b);
+    if (cls != kUniversalClass && !classReaches(cls, resource)) continue;
+    wake_path_.clear();
+    wake_path_.push_back(b);
+    horizon = std::min(horizon, wakeBound(b, wake_path_));
   }
   return horizon;
 }

@@ -66,8 +66,7 @@
 // Under these rules coalescing may reduce `eventsProcessed()` but never
 // changes any Tick: makespan, per-task completion times, and every
 // resource-timeline state transition are bit-identical with coalescing on
-// or off, with per-resource or global horizons, and with sync-aware wake
-// chains on or off.
+// or off.
 #pragma once
 
 #include <algorithm>
@@ -317,7 +316,7 @@ class Engine {
   /// bounded further by the wake chains of blocked tasks reaching
   /// `resource` (see the header comment for the exactness argument). Falls
   /// back to the global nextEventTime() when a blocked task's waker set is
-  /// unknown or sync-aware horizons are disabled.
+  /// unknown.
   ///
   /// `excluded` is a multiset of pending instants the caller accounts for
   /// itself — a joint replay passes its peers' next-event instants, since it
@@ -328,11 +327,6 @@ class Engine {
   /// only makes the bound earlier (conservative).
   [[nodiscard]] Tick nextEventTimeFor(std::uint32_t resource,
                                       std::span<const Tick> excluded = {}) const;
-
-  /// Toggle the sync-aware wake-chain refinement of nextEventTimeFor()
-  /// (default on). Off reproduces the blunt rule: any blocked task that can
-  /// reach the queried resource collapses the horizon to the global one.
-  void setSyncAwareHorizon(bool enabled) { sync_aware_ = enabled; }
 
   // -- synchronization-object registry (wake-chain tracking) --
   /// How a sync object's waker set gates its waiters' wakes. kAny: any
@@ -589,7 +583,6 @@ class Engine {
   std::size_t counted_tasks_from_ = 0;  ///< ids below predate registerResources
 
   // -- sync-object / wake-chain tracking --
-  bool sync_aware_ = true;
   std::vector<SyncObject> syncs_;
   std::vector<std::uint32_t> task_blocked_sync_;  ///< per task: sync or kNoSync
   std::vector<std::size_t> blocked_tasks_;        ///< registered blocked tasks

@@ -787,25 +787,20 @@ SccMachine::SccMachine(SccConfig config)
   // controllers plus every tile's MPB port. launch() gives each task a reach
   // set of its core's controller and the ports it may touch.
   engine_.registerResources(mesh_.numResources());
-  engine_.setSyncAwareHorizon(config_.sync_aware_horizon);
   engine_.reserveEvents(config_.num_cores * 2);
   // Robustness layer: at machine level a drained heap with live tasks is
   // ALWAYS the silent-hang bug (machine tasks never park across run()
   // calls), so hang detection is unconditional; the timeout and watchdog
   // knobs come from the config (off by default).
   fault_ = FaultInjector(config_.fault);
-  // Round-robin contention batching rides on the coalescing machinery and
-  // replays the per-word interleaving exactly.
   shm_word_runs_.resize(config_.num_mem_controllers);
-  shm_batching_ = config_.shm_contention_batching && config_.shm_coalescing;
   engine_.setHangDetection(true);
   engine_.setSyncTimeout(config_.sync_timeout_ticks);
   engine_.setWatchdogEventLimit(config_.watchdog_events_per_tick);
   // Observability: the recorder always exists, but the engine only learns
   // about it when tracing is on — disabled runs short-circuit every hook on
   // the null pointer and never reach the recorder's own enabled() check.
-  trace_.configure(config_.trace_enabled, config_.trace_ring_capacity,
-                   config_.trace_batches);
+  trace_.configure(config_.trace_enabled, config_.trace_ring_capacity);
   if (config_.trace_enabled) engine_.setTraceRecorder(&trace_);
   // Happens-before race detection (sim/drf/): drf_active_ is the cached
   // hot-path gate of every noteDrf* hook; sync objects get the checker
@@ -1181,7 +1176,7 @@ Tick SccMachine::shmAccessCompletion(int core, Tick start, std::uint64_t offset,
 }
 
 Tick SccMachine::coalescedCompletion(std::uint32_t resource, ResourceTimeline& timeline,
-                                     bool coalescing, Tick issue_overhead, Tick hop_one_way, Tick service,
+                                     Tick issue_overhead, Tick hop_one_way, Tick service,
                                      Tick start, std::size_t max_txns,
                                      std::size_t* done) {
   // Safety horizon: transaction i+1's request is issued (in the per-event
@@ -1196,11 +1191,7 @@ Tick SccMachine::coalescedCompletion(std::uint32_t resource, ResourceTimeline& t
   // transaction is always safe: its request is issued "now", while this
   // coroutine holds the engine. With coalescing off the horizon degenerates
   // to 0, i.e. every transaction after the first is its own event.
-  Tick horizon = 0;
-  if (coalescing) {
-    horizon = config_.per_resource_horizon ? engine_.nextEventTimeFor(resource)
-                                           : engine_.nextEventTime();
-  }
+  const Tick horizon = config_.coalescing ? engine_.nextEventTimeFor(resource) : 0;
 
   // Memory-controller stall faults: keyed by (resource id, per-resource
   // transaction index). The transaction order per resource is identical
@@ -1232,13 +1223,6 @@ Tick SccMachine::coalescedCompletion(std::uint32_t resource, ResourceTimeline& t
     ++n;
   }
   *done = n;
-  // Batch-boundary spans are inherently coalescing-mode-dependent (that is
-  // what they visualize) — opt-in and excluded from the identity contract.
-  if (trace_.batchesEnabled() && n > 1) {
-    trace_.record(engine_.currentTaskId(),
-                  obs::TraceEvent{start, t, n, 0, 0, resource,
-                                  obs::TraceEventKind::kBatch});
-  }
   return t;
 }
 
@@ -1393,10 +1377,6 @@ bool SccMachine::solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way,
     r.final_t = m.t;
     r.remaining = m.remaining;
   }
-  if (trace_.batchesEnabled() && *words_done > 1) {
-    trace_.record(self, obs::TraceEvent{start, *completion, *words_done, 0, 0,
-                                        mc_id, obs::TraceEventKind::kBatch});
-  }
   return true;
 }
 
@@ -1406,7 +1386,7 @@ Tick SccMachine::shmWordsOnController(std::uint32_t mc_id, Tick hop_one_way,
   // Round-robin contention batching (header comment at WordRun). Placement-
   // routed runs can aim at controllers outside the accessor's reach class,
   // which would break the closure proof — the batch layer stands down.
-  const bool batching = shm_batching_ && !ctrl_placement_active_;
+  const bool batching = config_.coalescing && !ctrl_placement_active_;
   if (batching) {
     Tick batched = 0;
     if (consumeSolvedRun(mc_id, words_done, &batched)) return batched;
@@ -1415,8 +1395,7 @@ Tick SccMachine::shmWordsOnController(std::uint32_t mc_id, Tick hop_one_way,
       return batched;
     }
   }
-  const Tick t = coalescedCompletion(mc_id, mc_[mc_id], config_.shm_coalescing,
-                                     uncached_overhead_ticks_, hop_one_way,
+  const Tick t = coalescedCompletion(mc_id, mc_[mc_id], uncached_overhead_ticks_, hop_one_way,
                                      word_service_ticks_, start, max_words, words_done);
   shm_words_ += *words_done;
   mc_traffic_[mc_id] += *words_done;
@@ -1477,7 +1456,7 @@ Tick SccMachine::swcacheLinesCompletion(int core, Tick start, std::size_t max_li
                                         std::size_t* lines_done) {
   const std::uint32_t mc_id = core_mc_[static_cast<std::size_t>(core)];
   const Tick t = coalescedCompletion(
-      mc_id, mc_[mc_id], config_.shm_coalescing, swcache_line_overhead_ticks_, core_mc_hop_ticks_[static_cast<std::size_t>(core)],
+      mc_id, mc_[mc_id], swcache_line_overhead_ticks_, core_mc_hop_ticks_[static_cast<std::size_t>(core)],
       line_service_ticks_, start, max_lines, lines_done);
   swcache_lines_sim_ += *lines_done;
   mc_traffic_[mc_id] += *lines_done;
@@ -1503,8 +1482,7 @@ Tick SccMachine::mpbChunksCompletion(int core, int ue, int owner_ue, Tick start,
       mesh_.hopsBetweenCores(static_cast<std::uint32_t>(core), owner_core);
   const Tick hop_one_way =
       mesh_clock_.cycles(static_cast<std::uint64_t>(config_.mesh_hop_cycles) * hops);
-  const Tick t = coalescedCompletion(port_id, mpb_port_[tile], config_.mpb_coalescing,
-                                     mpb_overhead_ticks_, hop_one_way,
+  const Tick t = coalescedCompletion(port_id, mpb_port_[tile], mpb_overhead_ticks_, hop_one_way,
                                      chunk_service_ticks_, start, max_chunks,
                                      chunks_done);
   mpb_chunks_ += *chunks_done;

@@ -173,10 +173,11 @@ class CoreContext {
   // Default (hardware-uncached) routing is word-granular: every word is an
   // independent blocking transaction through the core's memory controller
   // (the uncached-access semantics of the SCC's shared pages). Runs of words
-  // that are provably uncontended are coalesced into a single engine event
-  // (config.shm_coalescing); contention windows fall back to per-word events
-  // so concurrent cores interleave fairly. Either way the simulated Ticks
-  // are identical — see sim/engine.h.
+  // that are provably uncontended are coalesced into a single engine event,
+  // and contended runs on one controller are replayed jointly when the
+  // machine can prove their interleaving closed (config.coalescing; see
+  // WordRun below). Either way the simulated Ticks are identical to the
+  // per-word path — see sim/engine.h.
   //
   // Routing is PER REGION: accesses whose offset falls in a range registered
   // cacheable (SccMachine::setShmCacheability — typically by an
@@ -224,7 +225,7 @@ class CoreContext {
   // Chunk-granular: every cache-line-sized chunk is an independent blocking
   // transaction through the owning tile's MPB port (the core moves MPB data
   // line by line, as RCCE put/get do). Runs of provably-uncontended chunks
-  // are coalesced into a single engine event (config.mpb_coalescing),
+  // are coalesced into a single engine event (config.coalescing),
   // mirroring the shared-memory word path; Ticks are identical either way.
   [[nodiscard]] SubTask mpbRead(int owner_ue, std::uint64_t offset, void* out,
                                 std::size_t bytes);
@@ -441,7 +442,7 @@ class SccMachine {
     return mpb_chunks_;
   }
   /// Engine events those chunks cost (== mpbChunksSimulated() with
-  /// mpb_coalescing off).
+  /// coalescing off).
   [[nodiscard]] std::uint64_t mpbChunkEvents() const {
     return mpb_chunk_events_;
   }
@@ -647,13 +648,14 @@ class SccMachine {
                            bool write, void* data_out, const void* data_in);
   /// Service up to `max_words` uncached word transactions starting at
   /// `start`, coalescing as many as the coalescing horizon proves safe (at
-  /// least one; exactly one when contended). The horizon is scoped to this core's memory controller
+  /// least one). The horizon is scoped to this core's memory controller
   /// (Engine::nextEventTimeFor) so pending traffic on *other* resources
-  /// does not break the run; config.per_resource_horizon=false falls back
-  /// to the global horizon. Returns the completion Tick of the serviced
+  /// does not break the run. A contended run first tries the joint replay
+  /// (solveContendedRuns), which may serve it past the horizon together
+  /// with its peers' runs. Returns the completion Tick of the serviced
   /// words and stores how many were serviced in `*words_done`. The
   /// arithmetic is the exact per-word recurrence, so Ticks match the
-  /// per-event path bit for bit.
+  /// per-word path bit for bit.
   Tick shmWordsCompletion(int core, Tick start, std::size_t max_words,
                           std::size_t* words_done);
   /// Offset-aware twin of shmWordsCompletion for planned regions: routes
@@ -667,14 +669,13 @@ class SccMachine {
   /// MPB twin of shmWordsCompletion: service up to `max_chunks` cache-line
   /// chunks of `ue`'s transfer against owner_ue's tile port, coalescing as
   /// many as the port's horizon proves safe. Same exact recurrence, same
-  /// bit-identity guarantee (config.mpb_coalescing gates batching).
+  /// bit-identity guarantee (config.coalescing gates batching).
   Tick mpbChunksCompletion(int core, int ue, int owner_ue, Tick start,
                            std::size_t max_chunks, std::size_t* chunks_done);
   /// Swcache twin of shmWordsCompletion: service up to `max_lines` swcache
   /// line transfers (fills or dirty write-backs) against the core's memory
   /// controller, coalescing as many as the controller's horizon proves safe
-  /// (config.shm_coalescing gates batching, the same knob as the word path
-  /// it replaces).
+  /// (config.coalescing gates batching).
   Tick swcacheLinesCompletion(int core, Tick start, std::size_t max_lines,
                               std::size_t* lines_done);
   Tick shmBulkCompletion(int core, Tick start, std::uint64_t offset, std::size_t bytes,
@@ -689,7 +690,7 @@ class SccMachine {
   Tick shmWordsOnController(std::uint32_t mc_id, Tick hop_one_way, Tick start,
                             std::size_t max_words, std::size_t* words_done);
 
-  // -- round-robin contention batching (config.shm_contention_batching) --
+  // -- joint replay of contended word runs (with config.coalescing) --
   // A contended controller serves k word-runs interleaved, one word per
   // engine event each. The joint replay (solveContendedRuns) replays the
   // FCFS recurrence over all k runs inline instead, in the event heap's own
@@ -750,11 +751,11 @@ class SccMachine {
   /// completion, serviced for `service`, completion seen `hop_one_way`
   /// later — batching while the resource's coalescing horizon proves no
   /// other coroutine can interleave (at least one transaction; exactly one
-  /// once contended). The recurrence is exactly the per-event
-  /// execution's, so Ticks are bit-identical whether a run is one event or
-  /// many.
+  /// once contended or with config.coalescing off). The recurrence is
+  /// exactly the per-event execution's, so Ticks are bit-identical whether
+  /// a run is one event or many.
   Tick coalescedCompletion(std::uint32_t resource, ResourceTimeline& timeline,
-                           bool coalescing, Tick issue_overhead,
+                           Tick issue_overhead,
                            Tick hop_one_way, Tick service, Tick start,
                            std::size_t max_txns, std::size_t* done);
 
@@ -845,9 +846,6 @@ class SccMachine {
   /// no Tick depends on them).
   std::uint64_t shm_joint_replays_ = 0;
   std::uint64_t shm_joint_replay_words_ = 0;
-  /// Cached hot-path gate: config_.shm_contention_batching AND
-  /// shm_coalescing (the off mode stays the untouched per-word reference).
-  bool shm_batching_ = false;
 
   FaultInjector fault_;  ///< built from config_.fault at construction
   /// Scratch for swcacheFlushChecked's flushed-line addresses (reused to

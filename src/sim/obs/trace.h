@@ -4,17 +4,15 @@
 // (Tick, task_id, resource), recorded at *operation* boundaries — the entry
 // and exit Ticks of shmRead/shmWrite/swcacheRw/mpbRead/mpbWrite/bulk/sync
 // operations. Those boundary Ticks are exactly the quantities the coalescing
-// invariant (engine.h) guarantees are bit-identical across all coalescing
-// modes. Recording at the per-engine-event level instead would break that
-// contract: intermediate event counts and ticks are mode-dependent by design. The one deliberately
-// mode-dependent category — coalesced-batch boundaries — is opt-in
-// (trace_batches) and documented as excluded from the identity contract.
+// invariant (engine.h) guarantees are bit-identical with coalescing on or
+// off. Recording at the per-engine-event level instead would break that
+// contract: intermediate event counts and ticks are mode-dependent by design.
 //
 // Determinism contract (a new oracle, tested in tests/test_obs.cpp):
 //   - traces contain only simulated time (Ticks), never wall clock;
-//   - with trace_batches off, an enabled trace is byte-identical across all
-//     coalescing modes and zero-rate armed fault plans (fault events are
-//     recorded only when a fault actually fires).
+//   - an enabled trace is byte-identical with coalescing on or off and under
+//     zero-rate armed fault plans (fault events are recorded only when a
+//     fault actually fires).
 //
 // Zero overhead when disabled: every hook site is gated on one cached bool
 // (enabled()), the same discipline as FaultInjector::anyArmed(). The
@@ -50,7 +48,6 @@ enum class TraceEventKind : std::uint8_t {
   kBarrierWait,    ///< arrival..release per waiter; a=sync_id b=episode
   kLockWait,       ///< request..grant; a=sync_id b=1 if the grant was queued
   kFreeze,         ///< injected core freeze; a=1 if permanent
-  kBatch,          ///< coalesced batch (mode-dependent, opt-in); a=events
   // ---- instants (end == start) ----
   kBlock,          ///< task parked on a sync object; a=sync_id
   kWake,           ///< parked task rescheduled;      a=sync_id
@@ -82,13 +79,11 @@ class TraceRecorder {
  public:
   /// ring_capacity: max retained events per task (0 = unbounded). Overflow
   /// keeps the newest events and counts the evicted ones in droppedEvents().
-  void configure(bool enabled, std::size_t ring_capacity, bool record_batches);
+  void configure(bool enabled, std::size_t ring_capacity);
 
   /// The one hot-path gate. Hook sites test this cached bool and nothing
   /// else; when false the recorder costs one predictable branch per site.
   [[nodiscard]] bool enabled() const { return enabled_; }
-  /// Gate for the mode-dependent batch-boundary category.
-  [[nodiscard]] bool batchesEnabled() const { return enabled_ && batches_; }
 
   /// Size per-task buffers for `num_tasks` root tasks. Must be called before
   /// the run: record() never grows the per-task table.
@@ -136,7 +131,6 @@ class TraceRecorder {
   TaskBuf host_;
   std::size_t cap_ = 0;
   bool enabled_ = false;
-  bool batches_ = false;
 };
 
 }  // namespace hsm::sim::obs

@@ -100,55 +100,30 @@ struct SccConfig {
   std::uint32_t swcache_line_core_overhead_cycles = 20;
 
   // -- simulation kernel knobs (simulator speed, not architecture) --
-  /// Coalesce runs of uncached shared-memory word transactions into one
-  /// engine event whenever the engine can prove no other event interleaves
-  /// (see sim/engine.h's coalescing invariant). Never changes any Tick;
-  /// exposed so equivalence tests and benchmarks can A/B the two paths.
-  bool shm_coalescing = true;
-  /// Coalesce runs of MPB chunk transactions (RCCE put/get loops) the same
-  /// way, against the owning tile's port timeline. Never changes any Tick;
-  /// mirrors shm_coalescing for the on-chip path.
-  bool mpb_coalescing = true;
-  /// Scope the coalescing safety horizon to the accessed serially-reusable
-  /// resource — the memory controller for shared-memory words, the tile's
-  /// MPB port for chunk transfers (Engine::nextEventTimeFor) — instead of
-  /// the whole event queue, so runs keep coalescing while *other* resources
-  /// have pending traffic. Tick-exact either way; exposed so benchmarks and
-  /// equivalence tests can A/B per-resource against the legacy global
-  /// horizon.
-  bool per_resource_horizon = true;
-  /// Refine blocked-task horizon fallbacks through registered sync objects:
-  /// a task parked on a lock/barrier bounds a horizon by its potential
-  /// waker chain's earliest execution instead of collapsing it to the
-  /// global event queue (sim/engine.h's wake-chain rule). Tick-exact either
-  /// way; off reproduces the blunt any-blocked-task-goes-global fallback.
-  bool sync_aware_horizon = true;
-  /// Round-robin contention batching: when the only pending events that can
-  /// reach a memory controller are k in-flight word runs against it (every
-  /// other task that can reach it is parked, e.g. at a barrier, with a
-  /// bounded wake chain), fold the k interleaved per-word turns into a few
-  /// engine events per task by replaying the joint FCFS recurrence inline
-  /// (SccMachine::solveContendedRuns). Tick-exact by construction (the
-  /// controller timeline sees the same arrival order); exposed so the
-  /// equivalence tests and benchmarks can A/B it.
-  bool shm_contention_batching = true;
+  /// Coalesce provably uninterleaved runs of timed transactions into one
+  /// engine event each: uncached shared-memory words and swcache lines
+  /// against their memory controller, MPB chunks (RCCE put/get loops)
+  /// against the owning tile's port. The safety horizon is scoped to that
+  /// resource and refined through registered sync objects
+  /// (Engine::nextEventTimeFor; sim/engine.h's wake-chain rule), and
+  /// contended word runs on one controller replay their joint FCFS
+  /// recurrence inline (SccMachine::solveContendedRuns). Never changes any
+  /// Tick: false selects the per-word path, the Tick oracle that the
+  /// equivalence tests and micro_sim compare against.
+  bool coalescing = true;
 
   // -- deterministic observability (sim/obs/; docs/observability.md) --
   /// Record the simulated-time trace (operation spans, sync episodes, fault
   /// fires, hang reports). Off by default: every hook is gated on one cached
   /// bool — the FaultInjector discipline — so untraced runs pay one
   /// predictable branch per operation and stay bit-identical. An enabled
-  /// trace contains only simulated Ticks and is byte-identical across all
-  /// coalescing modes (see docs/observability.md).
+  /// trace contains only simulated Ticks and is byte-identical with
+  /// coalescing on or off (see docs/observability.md).
   bool trace_enabled = false;
   /// Max retained trace events per task (the bounded-memory ring-buffer
   /// mode). 0 = unbounded. Overflow keeps the newest events per task and is
   /// accounted in TraceRecorder::droppedEvents().
   std::size_t trace_ring_capacity = 0;
-  /// Also record coalesced-batch boundary spans. These are inherently
-  /// coalescing-mode-dependent (that is what they visualize), so they are
-  /// opt-in and EXCLUDED from the byte-identity contract.
-  bool trace_batches = false;
   /// Aggregate per-region shared-DRAM profiles (reads/writes/hits/misses/
   /// per-controller transactions for every named rcce::ShmArray region;
   /// MetricsSnapshot::regions). Off by default: registration no-ops and the

@@ -56,9 +56,9 @@ template <typename Ctx>
 sim::SubTask countSlice(Ctx& ctx, Slice s, long long& primes) {
   const std::size_t lo = 2 + s.first;
   const std::size_t hi = 2 + s.last;
-  constexpr std::size_t kBatch = 64;
-  for (std::size_t i = lo; i < hi; i += kBatch) {
-    const std::size_t end = std::min(i + kBatch, hi);
+  constexpr std::size_t kCandidatesPerEvent = 64;
+  for (std::size_t i = lo; i < hi; i += kCandidatesPerEvent) {
+    const std::size_t end = std::min(i + kCandidatesPerEvent, hi);
     std::uint64_t divisions = 0;
     for (std::size_t c = i; c < end; ++c) {
       const auto [is_prime, trials] = trialDivide(c);

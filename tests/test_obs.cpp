@@ -92,14 +92,13 @@ TEST(MetricsRegistry, JsonIsDeterministicAndSummaryIsSimOnly) {
 TEST(TraceRecorder, DisabledByDefaultAndZeroAccounting) {
   obs::TraceRecorder rec;
   EXPECT_FALSE(rec.enabled());
-  EXPECT_FALSE(rec.batchesEnabled());
   EXPECT_EQ(rec.recordedEvents(), 0u);
   EXPECT_EQ(rec.droppedEvents(), 0u);
 }
 
 TEST(TraceRecorder, RingKeepsNewestAndAccountsDropped) {
   obs::TraceRecorder rec;
-  rec.configure(/*enabled=*/true, /*ring_capacity=*/2, /*record_batches=*/false);
+  rec.configure(/*enabled=*/true, /*ring_capacity=*/2);
   rec.prepare(1);
   for (std::uint64_t i = 0; i < 5; ++i) {
     obs::TraceEvent ev;
@@ -186,30 +185,15 @@ SccConfig tracedConfig() {
 
 TEST(ObsTrace, ByteIdenticalAcrossCoalescingModes) {
   SccConfig on = tracedConfig();
-
   SccConfig off = tracedConfig();
-  off.shm_coalescing = false;
-  off.mpb_coalescing = false;
-  off.shm_contention_batching = false;
-
-  SccConfig global = tracedConfig();
-  global.per_resource_horizon = false;
-
-  SccConfig blind = tracedConfig();
-  blind.sync_aware_horizon = false;
+  off.coalescing = false;
 
   const TraceRun a = runObsMix(on);
   const TraceRun b = runObsMix(off);
-  const TraceRun c = runObsMix(global);
-  const TraceRun d = runObsMix(blind);
   EXPECT_GT(a.recorded, 0u);
   EXPECT_EQ(a.makespan, b.makespan);
   EXPECT_EQ(a.json, b.json);
   EXPECT_EQ(a.binary, b.binary);
-  EXPECT_EQ(a.json, c.json);
-  EXPECT_EQ(a.binary, c.binary);
-  EXPECT_EQ(a.json, d.json);
-  EXPECT_EQ(a.binary, d.binary);
 }
 
 TEST(ObsTrace, ByteIdenticalAcrossSwcacheCoalescing) {
@@ -218,8 +202,7 @@ TEST(ObsTrace, ByteIdenticalAcrossSwcacheCoalescing) {
   SccConfig on = tracedConfig();
   on.shm_swcache = true;
   SccConfig off = on;
-  off.shm_coalescing = false;
-  off.mpb_coalescing = false;
+  off.coalescing = false;
 
   const TraceRun a = runObsMix(on);
   const TraceRun b = runObsMix(off);
@@ -282,7 +265,7 @@ TEST(ObsTrace, RingCapacityBoundsMemoryAndAccountsTruncation) {
 TEST(ObsTrace, BinaryFormatCarriesMagicAndJsonParsesAsTraceEvents) {
   const TraceRun r = runObsMix(tracedConfig());
   ASSERT_GE(r.binary.size(), 8u);
-  EXPECT_EQ(r.binary.substr(0, 8), "HSMTRC01");
+  EXPECT_EQ(r.binary.substr(0, 8), "HSMTRC02");
   EXPECT_EQ(r.json.find("{\"displayTimeUnit\""), 0u);
   EXPECT_NE(r.json.find("\"traceEvents\""), std::string::npos);
   // One track per UE plus the two process groups.

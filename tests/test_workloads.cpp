@@ -188,8 +188,7 @@ TEST(Workloads, PthreadSourcesExistForAllBenchmarks) {
 
 TEST(JointReplay, StreamAndLuMakespansEqualThePerWordPath) {
   sim::SccConfig per_word;
-  per_word.shm_coalescing = false;
-  per_word.mpb_coalescing = false;
+  per_word.coalescing = false;
   const sim::SccConfig defaults;
   for (const auto& bench : {makeStream(1.0), makeLuDecomposition(1.0)}) {
     for (const Mode mode : {Mode::RcceOffChip, Mode::RcceMpb}) {
