@@ -1119,7 +1119,8 @@ int main(int argc, char** argv) {
   // address-striped plan concentrates the skewed load on ONE controller
   // (high controller_load_cv) while the owner-compute plan spreads it with
   // the evenly-placed requesters (near-zero CV). Both plans must verify
-  // against the host replay, the harness and Benchmark runs of the same
+  // against the host replay, match the per-word oracle (coalescing off) Tick
+  // for Tick, the harness and Benchmark runs of the same
   // plan must agree on the makespan Tick, and the striped run must hot-spot
   // materially above the placed run — all folded into kv_checks_ok and the
   // exit code. The placed (owner-compute) run is the tracked "coalesced"
@@ -1156,6 +1157,16 @@ int main(int argc, char** argv) {
     };
     const RunStats placed = runWorkload(kvWorkload(placed_plan), Mode{});
     const RunStats striped = runWorkload(kvWorkload(striped_plan), Mode{});
+    // Both plans against the per-word oracle: placement-routed words must
+    // coalesce to exactly its Ticks too.
+    const auto matchesPerWord = [&](const ExecutionPlan& plan, const RunStats& run) {
+      Workload once = kvWorkload(plan);
+      once.repetitions = 1;
+      const RunStats off = runWorkloadOnce(once, Mode{false});
+      return off.makespan == run.makespan && off.completions == run.completions;
+    };
+    const bool kv_per_word_ok =
+        matchesPerWord(placed_plan, placed) && matchesPerWord(striped_plan, striped);
 
     // Verification and the per-controller load spread ride the Benchmark
     // API (RunResult::controller_load_cv) — same kernel, same default
@@ -1169,7 +1180,7 @@ int main(int argc, char** argv) {
         kv->run(workloads::Mode::RcceOffChip, 8, kv_cfg, &striped_plan);
     kv_cv_placed = placed_r.controller_load_cv;
     kv_cv_striped = striped_r.controller_load_cv;
-    kv_ok = placed_r.verified && striped_r.verified &&
+    kv_ok = kv_per_word_ok && placed_r.verified && striped_r.verified &&
             placed_r.makespan == placed.makespan &&
             striped_r.makespan == striped.makespan &&
             kv_cv_placed < 0.05 && kv_cv_striped > 0.30 &&

@@ -630,6 +630,17 @@ class ResourceTimeline {
     return next_free_;
   }
 
+  /// Apply `cycles` more repetitions of a request pattern already observed
+  /// to be periodic: each repetition served `requests_per_cycle` requests of
+  /// `service` each and moved nextFree() by `period`. Equal to issuing those
+  /// requests one by one (the joint replay's cycle fast-forward).
+  void advanceCycles(std::uint64_t cycles, Tick period,
+                     std::uint64_t requests_per_cycle, Tick service) {
+    next_free_ += cycles * period;
+    total_busy_ += cycles * requests_per_cycle * service;
+    requests_ += cycles * requests_per_cycle;
+  }
+
   [[nodiscard]] Tick nextFree() const { return next_free_; }
   [[nodiscard]] Tick totalBusy() const { return total_busy_; }
   [[nodiscard]] std::uint64_t requests() const { return requests_; }

@@ -917,11 +917,32 @@ void SccMachine::launch(const LaunchSpec& spec) {
   }
   ue_port_reach_.assign(static_cast<std::size_t>(num_ues), {});
   mpb_scope_declared_ = static_cast<bool>(scope);
+  // Controllers a registered placement can route an uncached access to,
+  // whoever issues it: a striped or first-touch region may land on any
+  // controller, a pinned one on its pin. Every task reaches them on top of
+  // its own quadrant controller, so each controller's horizon sees every
+  // task that can put a word on it.
+  std::vector<std::uint32_t> placed_mcs;
+  for (const ShmCtrlRange& range : shm_ctrl_map_) {
+    switch (range.placement) {
+      case partition::ControllerPlacement::kOwnerCompute:
+        break;
+      case partition::ControllerPlacement::kPinned:
+        placed_mcs.push_back(range.pinned);
+        break;
+      case partition::ControllerPlacement::kStriped:
+      case partition::ControllerPlacement::kFirstTouch:
+        for (std::uint32_t mc = 0; mc < config_.num_mem_controllers; ++mc) {
+          placed_mcs.push_back(mc);
+        }
+        break;
+    }
+  }
   std::vector<std::size_t> task_ids;
   task_ids.reserve(static_cast<std::size_t>(num_ues));
   for (int ue = 0; ue < num_ues; ++ue) {
     const std::uint32_t core = ue_to_core_[static_cast<std::size_t>(ue)];
-    std::vector<std::uint32_t> reach;
+    std::vector<std::uint32_t> reach = placed_mcs;
     reach.push_back(core_mc_[core]);
     if (scope) {
       std::vector<std::uint32_t> ports;
@@ -956,6 +977,13 @@ void SccMachine::setShmControllerPlacement(std::uint64_t begin, std::uint64_t en
                                            std::uint32_t pinned_controller) {
   if (end <= begin) return;
   if (pinned_controller >= config_.num_mem_controllers) pinned_controller = 0;
+  // launch() fixes each task's controller reach from the placements known
+  // then; a later one could route words past every horizon that bounds them.
+  if (!contexts_.empty() &&
+      placement != partition::ControllerPlacement::kOwnerCompute) {
+    throw std::logic_error(
+        "setShmControllerPlacement: register controller placements before launch()");
+  }
   shm_ctrl_map_.push_back(ShmCtrlRange{begin, end, placement, pinned_controller});
   // kOwnerCompute registrations are documentation only (they restate the
   // default), so they must not knock accesses off the legacy fast path.
@@ -1150,31 +1178,6 @@ Tick SccMachine::privAccessCompletion(int core, Tick start, std::uint64_t addr,
   return t;
 }
 
-Tick SccMachine::shmAccessCompletion(int core, Tick start, std::uint64_t offset,
-                                     std::size_t bytes, bool write, void* data_out,
-                                     const void* data_in) {
-  // Uncached: each word is an independent, blocking transaction through the
-  // core's assigned memory controller.
-  ResourceTimeline& mc = mc_[core_mc_[static_cast<std::size_t>(core)]];
-  const Tick hop_one_way = core_mc_hop_ticks_[static_cast<std::size_t>(core)];
-
-  const std::size_t txn = config_.shm_transaction_bytes;
-  const std::size_t words = (bytes + txn - 1) / txn;
-  Tick t = start;
-  for (std::size_t w = 0; w < words; ++w) {
-    const Tick request_arrival = t + uncached_overhead_ticks_ + hop_one_way;
-    const Tick serviced = mc.acquire(request_arrival, word_service_ticks_);
-    t = serviced + hop_one_way;
-  }
-
-  if (write && data_in != nullptr) {
-    std::memcpy(&shared_dram_[offset], data_in, bytes);
-  } else if (!write && data_out != nullptr) {
-    std::memcpy(data_out, &shared_dram_[offset], bytes);
-  }
-  return t;
-}
-
 Tick SccMachine::coalescedCompletion(std::uint32_t resource, ResourceTimeline& timeline,
                                      Tick issue_overhead, Tick hop_one_way, Tick service,
                                      Tick start, std::size_t max_txns,
@@ -1190,8 +1193,11 @@ Tick SccMachine::coalescedCompletion(std::uint32_t resource, ResourceTimeline& t
   // falls back to the global horizon itself when it cannot). The first
   // transaction is always safe: its request is issued "now", while this
   // coroutine holds the engine. With coalescing off the horizon degenerates
-  // to 0, i.e. every transaction after the first is its own event.
-  const Tick horizon = config_.coalescing ? engine_.nextEventTimeFor(resource) : 0;
+  // to 0, i.e. every transaction after the first is its own event. Only a
+  // second transaction reads the horizon, so it is queried then: a run of
+  // one transaction never pays for it. The query reads engine state only,
+  // which the first transaction does not touch, so its value is the same.
+  Tick horizon = 0;
 
   // Memory-controller stall faults: keyed by (resource id, per-resource
   // transaction index). The transaction order per resource is identical
@@ -1202,6 +1208,7 @@ Tick SccMachine::coalescedCompletion(std::uint32_t resource, ResourceTimeline& t
   Tick t = start;
   std::size_t n = 0;
   while (n < max_txns) {
+    if (n == 1 && config_.coalescing) horizon = engine_.nextEventTimeFor(resource);
     if (n > 0 && t >= horizon) break;
     const Tick arrival = t + issue_overhead + hop_one_way;
     Tick svc = service;
@@ -1268,19 +1275,12 @@ bool SccMachine::solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way,
   if (engine_.pendingEventsReaching(mc_id) != peers) return false;
   const Tick outside = engine_.nextEventTimeFor(mc_id, peer_instants_);
 
-  struct Member {
-    std::size_t task;
-    Tick t;        ///< completion of its last word (next-event instant)
-    Tick hop;
-    std::size_t remaining;
-    std::size_t done = 0;  ///< words serviced by this replay
-  };
-  std::vector<Member> members;
-  members.reserve(peers + 1);
+  std::vector<ReplayMember>& members = replay_members_;
+  members.clear();
   for (const auto& [tid, r] : runs) {
-    if (tid != self) members.push_back({tid, r.t, r.hop, r.remaining});
+    if (tid != self) members.push_back({tid, r.t, r.hop, r.remaining, 0, r.t});
   }
-  members.push_back({self, start, hop_one_way, max_words});
+  members.push_back({self, start, hop_one_way, max_words, 0, start});
 
   // Replay the joint FCFS recurrence in ENGINE order on a SCRATCH timeline:
   // the next word always belongs to the member whose pending event is
@@ -1292,30 +1292,31 @@ bool SccMachine::solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way,
   // per-event execution. The replay stops at the first completed run —
   // beyond that instant the finished member may add traffic the joint
   // schedule cannot see — and declines if a word would issue at or after
-  // `outside`.
+  // `outside`. Periodic stretches are applied in closed form (the cycle
+  // fast-forward in the header comment at WordRun).
   ResourceTimeline scratch = mc_[mc_id];
   const bool stall_armed = fault_.armed(FaultClass::kMcStall);
   Tick stall_total = 0;
   std::uint64_t stalls_injected = 0;
   std::uint64_t total_words = 0;
+  std::uint64_t skipped_words = 0;
   // Trace records are deferred until the replay commits: a declined replay
   // must leave no observable side effect.
   obs::TraceRecorder* tr = tracer(engine_);
-  struct StallRec {
-    std::size_t task;
-    Tick at;
-    Tick stall;
-  };
-  std::vector<StallRec> stall_recs;
+  replay_stalls_.clear();
+  const std::size_t cycle_len = members.size();
+  unsigned checks_left = stall_armed ? 0 : kCycleCheckBudget;
+  std::size_t picks_in_cycle = 0;
+  Tick cycle_free = scratch.nextFree();
   for (;;) {
-    std::size_t pick = members.size();
-    for (std::size_t i = 0; i < members.size(); ++i) {
-      if (pick == members.size() || members[i].t < members[pick].t ||
+    std::size_t pick = 0;
+    for (std::size_t i = 1; i < members.size(); ++i) {
+      if (members[i].t < members[pick].t ||
           (members[i].t == members[pick].t && members[i].task < members[pick].task)) {
         pick = i;
       }
     }
-    Member& m = members[pick];
+    ReplayMember& m = members[pick];
     if (m.t >= outside) return false;  // nothing committed yet
     const Tick arrival = m.t + uncached_overhead_ticks_ + m.hop;
     Tick svc = word_service_ticks_;
@@ -1326,7 +1327,7 @@ bool SccMachine::solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way,
         svc += stall;
         stall_total += stall;
         ++stalls_injected;
-        if (tr != nullptr) stall_recs.push_back({m.task, arrival, stall});
+        if (tr != nullptr) replay_stalls_.push_back({m.task, arrival, stall});
       }
     }
     const Tick serviced = scratch.acquire(arrival, svc);
@@ -1334,12 +1335,49 @@ bool SccMachine::solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way,
     ++m.done;
     ++total_words;
     if (--m.remaining == 0) break;
+    if (checks_left == 0 || ++picks_in_cycle < cycle_len) continue;
+
+    // Cycle boundary: was the last cycle a pure shift of the one before?
+    picks_in_cycle = 0;
+    const Tick period = scratch.nextFree() - cycle_free;
+    bool shifted = period > 0;
+    std::size_t min_remaining = members.front().remaining;
+    Tick max_t = 0;
+    for (ReplayMember& r : members) {
+      shifted = shifted && r.t - r.cycle_t == period;
+      min_remaining = std::min(min_remaining, r.remaining);
+      max_t = std::max(max_t, r.t);
+      r.cycle_t = r.t;
+    }
+    if (!shifted) {
+      --checks_left;
+      cycle_free = scratch.nextFree();
+      continue;
+    }
+    // Skip n cycles; the earliest-finishing run keeps its last word for the
+    // pick loop. No run finishes inside them, so if their latest pick,
+    // max_t + (n-1)·D, issues at or after `outside`, the word-by-word replay
+    // declines there: decline now.
+    const std::uint64_t n = min_remaining - 1;
+    if (n > 0) {
+      if (outside != Engine::kNever && max_t + (n - 1) * period >= outside) return false;
+      for (ReplayMember& r : members) {
+        r.t += n * period;
+        r.cycle_t = r.t;
+        r.done += n;
+        r.remaining -= n;
+      }
+      scratch.advanceCycles(n, period, cycle_len, word_service_ticks_);
+      total_words += n * cycle_len;
+      skipped_words += n * cycle_len;
+    }
+    cycle_free = scratch.nextFree();
   }
 
   // Commit: timeline, fault bookkeeping, stats, per-member stash.
   mc_[mc_id] = scratch;
   if (tr != nullptr) {
-    for (const StallRec& s : stall_recs) {
+    for (const ReplayStall& s : replay_stalls_) {
       tr->record(s.task, obs::TraceEvent{s.at, s.at, s.stall, 0, 0, mc_id,
                                          obs::TraceEventKind::kMcStall});
     }
@@ -1353,8 +1391,9 @@ bool SccMachine::solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way,
   mc_traffic_[mc_id] += total_words;
   ++shm_joint_replays_;
   shm_joint_replay_words_ += total_words;
+  shm_joint_replay_skipped_words_ += skipped_words;
   ++shm_word_events_;  // self's event
-  for (const Member& m : members) {
+  for (const ReplayMember& m : members) {
     if (m.task == self) {
       if (m.remaining == 0) {
         runs.erase(self);  // a continuation call's own stale entry, if any

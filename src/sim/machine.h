@@ -402,7 +402,11 @@ class SccMachine {
   /// instances. Region cacheability/controller placement itself is
   /// registered by the plan-carrying rcce::ShmArray allocations (or
   /// setShmCacheability / setShmControllerPlacement directly) — the machine
-  /// cannot know region offsets.
+  /// cannot know region offsets. Controller placements must be registered
+  /// BEFORE launch: every task's reach set also holds each controller a
+  /// registered placement can route a word to (all of them for striped and
+  /// first-touch regions, the pin for pinned ones), so a controller's
+  /// coalescing horizon sees every task that can put a word on it.
   void launch(const LaunchSpec& spec);
   /// Create the machine barrier for `participants` without launching
   /// (used by runtimes that spawn their own tasks, e.g. threadrt).
@@ -436,6 +440,12 @@ class SccMachine {
   [[nodiscard]] std::uint64_t shmJointReplays() const { return shm_joint_replays_; }
   [[nodiscard]] std::uint64_t shmJointReplayWords() const {
     return shm_joint_replay_words_;
+  }
+  /// The part of shmJointReplayWords() that the replay's cycle fast-forward
+  /// applied in closed form instead of picking word by word (work counter;
+  /// deliberately outside MetricsSnapshot, so no digest depends on it).
+  [[nodiscard]] std::uint64_t shmJointReplaySkippedWords() const {
+    return shm_joint_replay_skipped_words_;
   }
   /// MPB chunk transactions simulated through the chunk-granular path.
   [[nodiscard]] std::uint64_t mpbChunksSimulated() const {
@@ -479,6 +489,8 @@ class SccMachine {
   /// (swcache) regions keep requester-local line fills regardless of any
   /// registration: the cache is private per core, so its DRAM traffic
   /// follows the core (docs/execution_plan.md states the composition rule).
+  /// Throws std::logic_error for a non-owner-compute placement registered
+  /// after launch() (the tasks' reach sets are already fixed; see launch).
   void setShmControllerPlacement(std::uint64_t begin, std::uint64_t end,
                                  partition::ControllerPlacement placement,
                                  std::uint32_t pinned_controller = 0);
@@ -644,8 +656,6 @@ class SccMachine {
   // -- timing/functional primitives (used by CoreContext and threadrt) --
   Tick privAccessCompletion(int core, Tick start, std::uint64_t addr, std::size_t bytes,
                             bool write, void* data_out, const void* data_in);
-  Tick shmAccessCompletion(int core, Tick start, std::uint64_t offset, std::size_t bytes,
-                           bool write, void* data_out, const void* data_in);
   /// Service up to `max_words` uncached word transactions starting at
   /// `start`, coalescing as many as the coalescing horizon proves safe (at
   /// least one). The horizon is scoped to this core's memory controller
@@ -724,6 +734,27 @@ class SccMachine {
   // but no longer interleave across tasks word by word, so functional
   // results are preserved for data-race-free programs (the same contract
   // the swcache states in docs/memory_model.md).
+  //
+  // Cycle fast-forward. The replay state is the members' next-event
+  // instants plus the timeline's nextFree(); one step picks the least
+  // (t, task) key and applies t' = max(t + overhead + hop, free) + service +
+  // hop. That step uses only max and +, and a common shift keeps the order
+  // of the keys, so shifting every instant by D shifts every later step by
+  // D. The replay snapshots the state at a cycle boundary and, M picks later
+  // (M = members), checks whether every member's t advanced by exactly the
+  // timeline's advance D > 0 (then each member was picked exactly once: a
+  // member left out would have advanced by 0). If so, the next n cycles are
+  // that cycle shifted by D, and it applies them in closed form: t += n·D,
+  // done += n, remaining -= n per member, and ResourceTimeline::advanceCycles
+  // for the timeline, with n = min(remaining) − 1 so the first run still
+  // completes inside the pick loop. No run finishes inside the skipped
+  // cycles, so if their latest pick, max(t) + (n − 1)·D, issues at or after
+  // `outside`, the word-by-word replay would decline there, and the replay
+  // declines at once instead. The check stands down for the whole replay
+  // when kMcStall is armed (stall draws are keyed by request index, so
+  // cycles are not shifts), and after kCycleCheckBudget failed checks — a
+  // replay that has not settled by then (members with different hops on an
+  // unsaturated controller never do) would only pay for them.
   /// One task's in-flight word-run against a controller.
   struct WordRun {
     Tick t = 0;        ///< completion of its last serviced word (its pending event)
@@ -745,6 +776,24 @@ class SccMachine {
   bool solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way, Tick start,
                           std::size_t max_words, std::size_t* words_done,
                           Tick* completion);
+  /// One member of a joint replay (the runs' working copy).
+  struct ReplayMember {
+    std::size_t task;
+    Tick t;        ///< completion of its last word (next-event instant)
+    Tick hop;
+    std::size_t remaining;
+    std::size_t done;   ///< words serviced by this replay
+    Tick cycle_t;       ///< t at the last cycle boundary (fast-forward check)
+  };
+  /// A stall fired inside a joint replay; traced only once it commits.
+  struct ReplayStall {
+    std::size_t task;
+    Tick at;
+    Tick stall;
+  };
+  /// Failed cycle checks after which a joint replay stops looking for a
+  /// period (header comment above).
+  static constexpr unsigned kCycleCheckBudget = 2;
   /// The shared engine of both coalesced paths: run up to `max_txns`
   /// back-to-back transactions of one serially-reusable `resource` —
   /// request issued `issue_overhead + hop_one_way` after the previous
@@ -840,12 +889,16 @@ class SccMachine {
   /// batching bookkeeping; a handful of entries at most).
   std::vector<std::unordered_map<std::size_t, WordRun>> shm_word_runs_;
   /// Peers' next-event instants of the current joint replay (the
-  /// `excluded` set of its horizon query); reused across calls.
+  /// `excluded` set of its horizon query), its members and its deferred
+  /// stall records; reused across calls so a replay allocates nothing.
   std::vector<Tick> peer_instants_;
-  /// Committed joint replays and the words they serviced (work counters;
-  /// no Tick depends on them).
+  std::vector<ReplayMember> replay_members_;
+  std::vector<ReplayStall> replay_stalls_;
+  /// Committed joint replays, the words they serviced, and the words the
+  /// cycle fast-forward skipped (work counters; no Tick depends on them).
   std::uint64_t shm_joint_replays_ = 0;
   std::uint64_t shm_joint_replay_words_ = 0;
+  std::uint64_t shm_joint_replay_skipped_words_ = 0;
 
   FaultInjector fault_;  ///< built from config_.fault at construction
   /// Scratch for swcacheFlushChecked's flushed-line addresses (reused to

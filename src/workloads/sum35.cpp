@@ -8,6 +8,8 @@
 // operations plus ALU work per candidate — for each chunk, so every Tick is
 // unchanged. The verification oracle stays the naive loop.
 #include <cstring>
+#include <map>
+#include <mutex>
 
 #include "rcce/rcce.h"
 #include "sim/machine.h"
@@ -39,12 +41,24 @@ struct Sum35Params {
   std::size_t limit = 3'000'000;
 };
 
-long long referenceSum(std::size_t limit) {
+long long naiveSum(std::size_t limit) {
   long long sum = 0;
   for (std::size_t i = 0; i < limit; ++i) {
     if (i % 3 == 0 || i % 5 == 0) sum += static_cast<long long>(i);
   }
   return sum;
+}
+
+/// The naive loop is the oracle independent of sum35ChunkSum's closed form;
+/// it is a pure function of `limit`, so every run shares one result per
+/// limit. Runs may verify on several host threads at once, hence the mutex.
+long long referenceSum(std::size_t limit) {
+  static std::mutex mu;
+  static std::map<std::size_t, long long> memo;
+  const std::lock_guard<std::mutex> lock(mu);
+  const auto [it, fresh] = memo.try_emplace(limit, 0);
+  if (fresh) it->second = naiveSum(limit);
+  return it->second;
 }
 
 /// The loop both kernels run over their slice: adds its sum into `sum`,

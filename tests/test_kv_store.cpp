@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -259,6 +260,49 @@ TEST(KvStore, StripedPlanHotSpotsWhereOwnerComputeStaysFlat) {
                             hot.controller_traffic.end(), std::uint64_t{0}));
   EXPECT_LT(flat.controller_load_cv, 0.1);
   EXPECT_GT(hot.controller_load_cv, 2.0 * flat.controller_load_cv);
+}
+
+/// One KV run under `plan` at 8 UEs: makespan then per-UE completions.
+std::vector<sim::Tick> kvTicks(const ExecutionPlan& plan, bool coalescing) {
+  KvParams p;
+  p.num_keys = 256;
+  p.ops_per_ue = 192;
+  sim::SccConfig cfg;
+  cfg.coalescing = coalescing;
+  sim::SccMachine m(cfg);
+  workloads::setupKvRcce(m, p, 8, &plan);
+  std::vector<sim::Tick> ticks{m.run()};
+  for (std::size_t ue = 0; ue < 8; ++ue) ticks.push_back(m.engine().completionTime(ue));
+  return ticks;
+}
+
+TEST(KvStore, PlacementRoutedWordsMatchThePerWordOracle) {
+  // Striped and pinned regions route a task's words to controllers beyond
+  // its own quadrant's; their coalesced runs must still end on exactly the
+  // per-word Ticks.
+  ExecutionPlan pinned = kvPlan(ControllerPlacement::kPinned);
+  for (RegionPlan& r : pinned.regions) r.pinned_controller = 3;
+  for (const ExecutionPlan& plan : {kvPlan(ControllerPlacement::kStriped), pinned}) {
+    EXPECT_EQ(kvTicks(plan, true), kvTicks(plan, false))
+        << plan.regions.front().name << " placement "
+        << static_cast<int>(plan.regions.front().controller);
+  }
+}
+
+TEST(ControllerPlacementRouting, RegisteringAfterLaunchIsRejected) {
+  sim::SccMachine m;
+  const std::uint64_t region = m.shmalloc(4096);
+  m.launch(sim::LaunchSpec(2, [=](sim::CoreContext& ctx) -> sim::SimTask {
+    std::uint64_t word = 0;
+    co_await ctx.shmRead(region, &word, sizeof(word));
+  }));
+  EXPECT_THROW(m.setShmControllerPlacement(region, region + 4096,
+                                           ControllerPlacement::kStriped),
+               std::logic_error);
+  // Restating the default changes no route, so it stays allowed.
+  EXPECT_NO_THROW(m.setShmControllerPlacement(region, region + 4096,
+                                              ControllerPlacement::kOwnerCompute));
+  m.run();
 }
 
 TEST(KvStore, ControllerPlacedRegionNameDriftIsDetected) {

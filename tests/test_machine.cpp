@@ -809,10 +809,14 @@ TEST(Machine, MpbChunkStatsAccountAllChunks) {
 // word is its own engine event there.
 
 struct ReplayRun {
+  Tick makespan = 0;
   std::vector<Tick> completions;
   std::uint64_t shm_word_events = 0;
   std::uint64_t joint_replays = 0;
   std::uint64_t joint_replay_words = 0;
+  std::uint64_t skipped_words = 0;  ///< words the cycle fast-forward applied
+  std::vector<std::uint64_t> controller_requests;
+  std::vector<std::uint8_t> memory;  ///< the shared allocation after the run
   std::string trace;  ///< binary trace export
 };
 
@@ -829,14 +833,20 @@ ReplayRun runReplay(SccConfig cfg, int ues, std::size_t shm_bytes,
   SccMachine machine(cfg);
   const std::uint64_t base = machine.shmalloc(shm_bytes);
   machine.launch(LaunchSpec(ues, [&](CoreContext& ctx) { return program(ctx, base); }));
-  machine.run();
   ReplayRun r;
+  r.makespan = machine.run();
   for (int ue = 0; ue < ues; ++ue) {
     r.completions.push_back(machine.engine().completionTime(static_cast<std::size_t>(ue)));
   }
   r.shm_word_events = machine.shmWordEvents();
   r.joint_replays = machine.shmJointReplays();
   r.joint_replay_words = machine.shmJointReplayWords();
+  r.skipped_words = machine.shmJointReplaySkippedWords();
+  for (std::uint32_t mc = 0; mc < cfg.num_mem_controllers; ++mc) {
+    r.controller_requests.push_back(machine.memController(mc).requests());
+  }
+  const std::uint8_t* data = machine.shmData(base);
+  r.memory.assign(data, data + shm_bytes);
   std::ostringstream trace;
   machine.writeTraceBinary(trace);
   r.trace = trace.str();
@@ -992,6 +1002,153 @@ TEST(Machine, JointReplayMatchesPerWordOnRandomRounds) {
     replays += batched.joint_replays;
   }
   EXPECT_GT(replays, 0u);
+}
+
+// --- cycle fast-forward of the joint replay ------------------------------------
+// Long word runs settle into cycles that shift every member by the same
+// period; the replay applies those in closed form. Each case must match the
+// per-word oracle in makespan, completions, trace bytes, memory and every
+// controller's request count, and pins how many words were skipped.
+
+constexpr std::size_t kStreamBlock = 2048;  ///< bytes of shared DRAM per UE
+
+/// Two rounds per UE: a read run then a half-length write run over its own
+/// block, separated by barriers. Run lengths and start delays vary with the
+/// UE so members join, leave and skew the controller's cycle.
+SimTask longStreams(CoreContext& ctx, std::uint64_t base, std::size_t words) {
+  std::vector<std::uint8_t> buf(kStreamBlock);
+  const auto ue = static_cast<std::size_t>(ctx.ue());
+  const std::uint64_t mine = base + ue * kStreamBlock;
+  for (int r = 0; r < 2; ++r) {
+    const std::size_t n = words + 8 * (ue % 3) + 4 * static_cast<std::size_t>(r);
+    co_await ctx.compute(5 * (ue % 4));
+    co_await ctx.shmRead(mine, buf.data(), n * 8);
+    for (std::size_t i = 0; i < n * 8; ++i) {
+      buf[i] = static_cast<std::uint8_t>(buf[i] + ue + i + static_cast<std::size_t>(r));
+    }
+    co_await ctx.shmWrite(mine, buf.data(), n * 4);
+    co_await ctx.barrier();
+  }
+}
+
+ReplayRun expectFastForwardExact(const SccConfig& cfg, int ues,
+                                 const std::function<SimTask(CoreContext&, std::uint64_t)>& program,
+                                 std::size_t shm_bytes) {
+  const ReplayRun oracle = runReplay(perWord(cfg), ues, shm_bytes, program);
+  const ReplayRun batched = runReplay(cfg, ues, shm_bytes, program);
+  EXPECT_EQ(batched.makespan, oracle.makespan);
+  EXPECT_EQ(batched.completions, oracle.completions);
+  EXPECT_TRUE(batched.trace == oracle.trace) << "trace bytes differ";
+  EXPECT_EQ(batched.memory, oracle.memory);
+  EXPECT_EQ(batched.controller_requests, oracle.controller_requests);
+  EXPECT_EQ(oracle.skipped_words, 0u);
+  EXPECT_LE(batched.skipped_words, batched.joint_replay_words);
+  return batched;
+}
+
+// Saturated controllers, mixed hops: 48 UEs put twelve requesters at
+// different mesh distances on each controller.
+TEST(Machine, JointReplayFastForwardSaturatedMixedHops) {
+  const auto program = [](CoreContext& ctx, std::uint64_t base) {
+    return longStreams(ctx, base, 96);
+  };
+  const ReplayRun r = expectFastForwardExact(SccConfig{}, 48, program, 48 * kStreamBlock);
+  EXPECT_EQ(r.skipped_words, 13720u);
+  EXPECT_EQ(r.joint_replay_words, 14456u);
+}
+
+// Unsaturated controllers: a long issue overhead leaves the controller idle
+// between words. Requesters at equal distances still cycle with one period;
+// at different distances they run at different rates and never do, so the
+// check's budget runs out and those replays pick every word.
+TEST(Machine, JointReplayFastForwardUnsaturated) {
+  SccConfig cfg;
+  cfg.uncached_word_core_overhead_cycles = 400;
+  const auto program = [](CoreContext& ctx, std::uint64_t base) {
+    return longStreams(ctx, base, 80);
+  };
+  const ReplayRun r = expectFastForwardExact(cfg, 8, program, 8 * kStreamBlock);
+  EXPECT_EQ(r.skipped_words, 960u);
+  EXPECT_EQ(r.joint_replay_words, 1986u);
+}
+
+// Class-mates parked at the barrier (LU's shape): only UEs of rank >= r
+// stream in round r; the rest wait at the barrier the streamers have not
+// reached, so `outside` is kNever and the cycles run to the first finish.
+SimTask shrinkingLongStreams(CoreContext& ctx, std::uint64_t base) {
+  std::vector<std::uint8_t> buf(kStreamBlock);
+  const int rank = ctx.ue() / 4;
+  const std::uint64_t mine = base + static_cast<std::uint64_t>(ctx.ue()) * kStreamBlock;
+  for (int r = 0; r < 4; ++r) {
+    if (rank >= r) {
+      const std::size_t words = 64 + 24 * static_cast<std::size_t>(rank) +
+                                3 * static_cast<std::size_t>(r);
+      co_await ctx.shmRead(mine, buf.data(), words * 8);
+      co_await ctx.shmWrite(mine, buf.data(), words * 4);
+    }
+    co_await ctx.barrier();
+  }
+}
+
+TEST(Machine, JointReplayFastForwardWithBarrierParkedClassMates) {
+  const ReplayRun r =
+      expectFastForwardExact(SccConfig{}, 16, shrinkingLongStreams, 16 * kStreamBlock);
+  EXPECT_EQ(r.skipped_words, 3026u);
+  EXPECT_EQ(r.joint_replay_words, 5476u);
+}
+
+// A finite `outside`: one UE on controller 0's quadrant parks on a lock
+// whose holder, on another quadrant, computes inside its critical section.
+// The holder's pending instant bounds the replays; periodic ones whose
+// skipped cycles would reach it must decline, as the word-by-word replay
+// does, and the later ones, after the release, skip again.
+SimTask lockBoundedStreams(CoreContext& ctx, std::uint64_t base, std::size_t words) {
+  std::vector<std::uint8_t> buf(kStreamBlock);
+  SccMachine& m = ctx.machine();
+  const std::uint32_t home = m.controllerOfCore(static_cast<int>(m.coreOfUe(0)));
+  const std::uint32_t mine_mc = m.controllerOfCore(ctx.core());
+  const std::uint64_t mine = base + static_cast<std::uint64_t>(ctx.ue()) * kStreamBlock;
+  if (mine_mc != home) {
+    if (ctx.ue() == 1) {  // the holder: off controller 0's quadrant
+      co_await ctx.lockAcquire(0);
+      co_await ctx.compute(3000);
+      co_await ctx.lockRelease(0);
+    }
+    co_return;
+  }
+  if (ctx.ue() == 0) {  // the parked class-mate
+    co_await ctx.compute(200);
+    co_await ctx.lockAcquire(0);
+    co_await ctx.shmRead(mine, buf.data(), 16);
+    co_await ctx.lockRelease(0);
+    co_return;
+  }
+  co_await ctx.compute(400);
+  co_await ctx.shmRead(mine, buf.data(), words * 8);
+  co_await ctx.shmWrite(mine, buf.data(), words * 8);
+}
+
+TEST(Machine, JointReplayFastForwardDeclinesAtOutside) {
+  const auto program = [](CoreContext& ctx, std::uint64_t base) {
+    return lockBoundedStreams(ctx, base, 200);
+  };
+  const ReplayRun r = expectFastForwardExact(SccConfig{}, 16, program, 16 * kStreamBlock);
+  EXPECT_EQ(r.skipped_words, 912u);
+  EXPECT_EQ(r.joint_replay_words, 928u);
+}
+
+// Stall faults are drawn per request index, so a cycle is no shift: the
+// fast-forward stands down and every word is picked.
+TEST(Machine, JointReplayFastForwardStandsDownUnderMcStall) {
+  SccConfig cfg;
+  cfg.fault.enabled = true;
+  cfg.fault.mc_stall.rate = 0.05;
+  const auto program = [](CoreContext& ctx, std::uint64_t base) {
+    return longStreams(ctx, base, 96);
+  };
+  const ReplayRun r = expectFastForwardExact(cfg, 48, program, 48 * kStreamBlock);
+  EXPECT_GT(r.joint_replay_words, 0u);
+  EXPECT_EQ(r.skipped_words, 0u);
 }
 
 // --- oversubscribed launch ---------------------------------------------------
