@@ -1,6 +1,7 @@
 #include "sim/engine.h"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 #include "sim/obs/trace.h"
@@ -58,7 +59,9 @@ void Engine::schedule(Tick when, std::coroutine_handle<> h, std::size_t task_id)
       unaffined_pending_.push_back(when);
       if (!counted) ++uncounted_unaffined_pending_;
     } else {
-      classes_[cls].pending.push_back(when);
+      std::vector<PendingEntry>& bucket = classes_[cls].pending;
+      task_pending_slot_[task_id] = bucket.size();
+      bucket.push_back({when, task_id});
     }
   }
   if (task_id != kNoTask && task_id < task_pending_when_.size()) {
@@ -107,6 +110,7 @@ void Engine::registerResources(std::uint32_t count) {
   universal_blocked_registered_ = 0;
   uncounted_unaffined_pending_ = 0;
   counted_tasks_from_ = tasks_.size();
+  tracked_from_seq_ = next_seq_;
 }
 
 std::uint32_t Engine::internReachClass(std::vector<std::uint32_t> reach) {
@@ -127,19 +131,35 @@ std::uint32_t Engine::internReachClass(std::vector<std::uint32_t> reach) {
   return cls;
 }
 
-void Engine::dropPending(std::uint32_t cls, Tick when) {
+void Engine::dropPending(std::uint32_t cls, Tick when, std::size_t task) {
+  if (cls == kUniversalClass) {
+    for (std::size_t i = 0; i < unaffined_pending_.size(); ++i) {
+      if (unaffined_pending_[i] == when) {
+        unaffined_pending_[i] = unaffined_pending_.back();
+        unaffined_pending_.pop_back();
+        return;
+      }
+    }
+    return;
+  }
   // Events scheduled before a re-registration carry class ids into the
   // since-cleared table; their buckets were wiped wholesale, nothing to drop.
-  if (cls != kUniversalClass && cls >= classes_.size()) return;
-  std::vector<Tick>& bucket =
-      cls == kUniversalClass ? unaffined_pending_ : classes_[cls].pending;
-  for (std::size_t i = 0; i < bucket.size(); ++i) {
-    if (bucket[i] == when) {
-      bucket[i] = bucket.back();
-      bucket.pop_back();
-      return;
-    }
+  if (cls >= classes_.size()) return;
+  std::vector<PendingEntry>& bucket = classes_[cls].pending;
+  // The task's recorded slot holds its one pending event. Any entry with
+  // the same instant would do (buckets are multisets of instants), so a
+  // slot that does not match — an event predating a re-registration whose
+  // class id was reused, or a task scheduled twice against the contract —
+  // falls back to the first entry at `when`.
+  std::size_t i = task < task_pending_slot_.size() ? task_pending_slot_[task] : 0;
+  if (i >= bucket.size() || bucket[i].task != task || bucket[i].when != when) {
+    i = 0;
+    while (i < bucket.size() && bucket[i].when != when) ++i;
+    if (i == bucket.size()) return;
   }
+  bucket[i] = bucket.back();
+  bucket.pop_back();
+  if (i < bucket.size()) task_pending_slot_[bucket[i].task] = i;
 }
 
 Tick Engine::wakeBound(std::size_t task, std::vector<std::size_t>& visited) const {
@@ -219,6 +239,21 @@ Tick Engine::nextEventTimeFor(std::uint32_t resource,
   if (resource_classes_.empty() || resource >= resource_classes_.size()) {
     return nextEventTime();
   }
+  // Heap-top identity (header comment): every term of the scan is at or
+  // after the heap top, so if the heap top is itself a term it is the
+  // answer.
+  if (excluded.empty() && !events_.empty()) {
+    const Event& top = events_.front();
+    if (top.tracked && top.seq >= tracked_from_seq_ &&
+        (top.cls == kUniversalClass || classReaches(top.cls, resource))) {
+      assert(top.when == scanHorizon(resource, excluded));
+      return top.when;
+    }
+  }
+  return scanHorizon(resource, excluded);
+}
+
+Tick Engine::scanHorizon(std::uint32_t resource, std::span<const Tick> excluded) const {
   // Each excluded instant cancels one matching pending occurrence.
   excluded_left_.assign(excluded.begin(), excluded.end());
   const auto cancelled = [this](Tick t) {
@@ -247,8 +282,8 @@ Tick Engine::nextEventTimeFor(std::uint32_t resource,
                            static_cast<std::int64_t>(classes_[cls].pending.size());
     if (adjust_cur && cur_cls == cls) --blocked;
     if (blocked > classes_[cls].blocked_registered) return nextEventTime();
-    for (const Tick t : classes_[cls].pending) {
-      if (!cancelled(t)) horizon = std::min(horizon, t);
+    for (const PendingEntry& p : classes_[cls].pending) {
+      if (!cancelled(p.when)) horizon = std::min(horizon, p.when);
     }
   }
 
@@ -403,6 +438,7 @@ std::size_t Engine::spawnReaching(SimTask task, Tick start,
     task_blocked_index_.resize(id + 1, 0);
     task_blocked_at_.resize(id + 1, 0);
     task_done_.resize(id + 1, false);
+    task_pending_slot_.resize(id + 1, 0);
   }
   task_class_[id] = cls;
   if (!resource_classes_.empty()) {
@@ -495,7 +531,7 @@ Tick Engine::run() {
     const Event ev = events_.back();
     events_.pop_back();
     if (ev.tracked) {
-      dropPending(ev.cls, ev.when);
+      dropPending(ev.cls, ev.when, ev.task);
       // Guard the tally against events predating a re-registration, whose
       // uncounted entries were wiped with the buckets.
       if (!ev.counted && uncounted_unaffined_pending_ > 0) {

@@ -63,6 +63,21 @@
 // that can: the instant before which the replay must finish. The excluded
 // tasks still count as wakers at their pending instants, which can only
 // make the bound earlier.
+//
+// Heap-top identity: with nothing `excluded`, every term of that minimum is
+// at or after the heap top — pending instants are heap entries, the
+// unknown-waker and unregistered-park fallbacks ARE the heap top, and a wake
+// chain bottoms out in pending instants, the heap top, or kNever. So when
+// the heap top itself is a term (its event is filed in a bucket the scan
+// reads: the universal bucket or a reach class containing r), the horizon
+// is the heap top and nextEventTimeFor answers in O(log |reach set|)
+// without scanning buckets or wake chains. The one term that could fall
+// below it is a kAll bound whose every waker has already acted (it returns
+// 0, "could fire now"); a sync object that keeps its waker set exact never
+// shows it to a query, because the last waker's own event schedules the
+// wake (SyncBarrier releases inside the last arrival). Debug builds check
+// the shortcut against the full scan on every query.
+//
 // Under these rules coalescing may reduce `eventsProcessed()` but never
 // changes any Tick: makespan, per-task completion times, and every
 // resource-timeline state transition are bit-identical with coalescing on
@@ -325,6 +340,10 @@ class Engine {
   /// is taken. The blocked-task fallbacks and wake-chain bounds are NOT
   /// adjusted: a peer still counts as a waker at its pending instant, which
   /// only makes the bound earlier (conservative).
+  ///
+  /// With `excluded` empty and the heap top filed in a bucket that reaches
+  /// `resource`, the answer is the heap top (the heap-top identity in the
+  /// header comment) and the query skips the scan.
   [[nodiscard]] Tick nextEventTimeFor(std::uint32_t resource,
                                       std::span<const Tick> excluded = {}) const;
 
@@ -496,13 +515,20 @@ class Engine {
     }
   };
 
+  /// One pending event of a reach class: its instant and its root task.
+  /// The task's slot (task_pending_slot_) makes dropping it O(1).
+  struct PendingEntry {
+    Tick when;
+    std::size_t task;
+  };
+
   /// A distinct reach set shared by one or more tasks. Tasks with equal
   /// sets are interned into one class, so scheduling stays O(1) per event
   /// no matter how large the sets are; per-resource queries scan the few
   /// classes whose set contains the resource.
   struct ReachClass {
     std::vector<std::uint32_t> resources;  ///< sorted, unique
-    std::vector<Tick> pending;             ///< `when` of pending events
+    std::vector<PendingEntry> pending;     ///< pending events, unordered
     std::int64_t alive = 0;                ///< spawned minus finished
     std::int64_t blocked_registered = 0;   ///< parked via blockOnSync
   };
@@ -540,7 +566,11 @@ class Engine {
     return std::binary_search(rs.begin(), rs.end(), resource);
   }
   std::uint32_t internReachClass(std::vector<std::uint32_t> reach);
-  void dropPending(std::uint32_t cls, Tick when);
+  void dropPending(std::uint32_t cls, Tick when, std::size_t task);
+  /// nextEventTimeFor without the heap-top shortcut: the minimum over the
+  /// reach buckets, the universal bucket and the parked tasks' wake chains.
+  [[nodiscard]] Tick scanHorizon(std::uint32_t resource,
+                                 std::span<const Tick> excluded) const;
   /// Earliest time any waker chain of blocked `task` could execute (see
   /// header comment). `visited` carries the chain walked so far for cycle
   /// detection; the global nextEventTime() is the unknown-waker fallback.
@@ -564,9 +594,10 @@ class Engine {
   std::vector<Tick> completion_;
 
   // -- per-resource horizon accounting (empty unless registerResources ran) --
-  // Classes hold the `when` of every pending event of tasks in that reach
-  // class (a handful of entries: one per concurrently pending same-class
-  // task), scanned linearly. Events with no matching alive entry — scheduled
+  // Classes hold every pending event of tasks in that reach class (one per
+  // concurrently pending same-class task: a root task has at most one
+  // pending event), each at the slot task_pending_slot_ records, so popping
+  // one is a swap-remove. Events with no matching alive entry — scheduled
   // from host context (kNoTask) or by tasks spawned before
   // registerResources() — are filed in the universal bucket (so they still
   // bound every horizon) but tallied separately in
@@ -581,6 +612,11 @@ class Engine {
   std::int64_t universal_blocked_registered_ = 0;
   std::size_t uncounted_unaffined_pending_ = 0;
   std::size_t counted_tasks_from_ = 0;  ///< ids below predate registerResources
+  /// Events with a lower seq predate registerResources: their buckets were
+  /// wiped, so they are no term of any horizon (the heap-top shortcut skips
+  /// them).
+  std::uint64_t tracked_from_seq_ = 0;
+  std::vector<std::size_t> task_pending_slot_;  ///< per task: its bucket slot
 
   // -- sync-object / wake-chain tracking --
   std::vector<SyncObject> syncs_;

@@ -1233,21 +1233,39 @@ Tick SccMachine::coalescedCompletion(std::uint32_t resource, ResourceTimeline& t
   return t;
 }
 
+SccMachine::WordRun& SccMachine::ControllerRuns::upsert(std::size_t task) {
+  if (task >= slot.size()) slot.resize(task + 1, 0);
+  if (slot[task] == 0) {
+    members.push_back({.task = task});
+    slot[task] = static_cast<std::uint32_t>(members.size());
+  }
+  return members[slot[task] - 1];
+}
+
+void SccMachine::ControllerRuns::erase(std::size_t task) {
+  const std::uint32_t s = task < slot.size() ? slot[task] : 0;
+  if (s == 0) return;
+  if (members[s - 1].solved) --solved;
+  members[s - 1] = members.back();
+  slot[members[s - 1].task] = s;
+  members.pop_back();
+  slot[task] = 0;
+}
+
 bool SccMachine::consumeSolvedRun(std::uint32_t mc_id, std::size_t* words_done,
                                   Tick* completion) {
-  auto& runs = shm_word_runs_[mc_id];
-  if (runs.empty()) return false;
+  ControllerRuns& runs = shm_word_runs_[mc_id];
+  if (runs.solved == 0) return false;
   const std::size_t task = engine_.currentTaskId();
-  if (task == Engine::kNoTask) return false;
-  const auto it = runs.find(task);
-  if (it == runs.end() || !it->second.solved) return false;
+  const WordRun* r = runs.find(task);
+  if (r == nullptr || !r->solved) return false;
   // The words themselves were acquired (and tallied) by the joint replay;
   // this resume only reports them to the caller's run loop, which re-calls
   // for any words beyond the replayed prefix. One event either way.
-  *words_done = it->second.done;
-  *completion = it->second.final_t;
+  *words_done = r->done;
+  *completion = r->final_t;
   ++shm_word_events_;
-  runs.erase(it);
+  runs.erase(task);
   return true;
 }
 
@@ -1255,31 +1273,29 @@ bool SccMachine::solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way,
                                     Tick start, std::size_t max_words,
                                     std::size_t* words_done, Tick* completion) {
   if (max_words == 0) return false;
-  auto& runs = shm_word_runs_[mc_id];
-  if (runs.empty()) return false;
+  ControllerRuns& runs = shm_word_runs_[mc_id];
   const std::size_t self = engine_.currentTaskId();
-  if (self == Engine::kNoTask) return false;
-  // Closure proof (header comment at WordRun). Every registered run must be
-  // an unsolved in-flight peer: a solved-but-unconsumed entry means that
-  // task's next move is already decided and acquired, so nothing new may
-  // interleave until it resumes. The peers' pending events must be ALL the
-  // pending events that can touch this controller, and `outside` bounds
-  // when any parked task reaching it could be woken.
-  peer_instants_.clear();
-  for (const auto& [tid, r] : runs) {
-    if (r.solved || r.remaining == 0) return false;
-    if (tid != self) peer_instants_.push_back(r.t);
-  }
-  const std::size_t peers = peer_instants_.size();
+  if (runs.members.empty() || self == Engine::kNoTask) return false;
+  // Closure proof (header comment at WordRun), decided from counts before
+  // any member is read. Every registered run must be an unsolved in-flight
+  // peer: a solved-but-unconsumed entry means that task's next move is
+  // already decided and acquired, so nothing new may interleave until it
+  // resumes. The peers' pending events must be ALL the pending events that
+  // can touch this controller, and `outside` bounds when any parked task
+  // reaching it could be woken.
+  if (runs.solved > 0) return false;
+  const std::size_t peers = runs.members.size() - (runs.find(self) != nullptr ? 1 : 0);
   if (peers == 0) return false;
   if (engine_.pendingEventsReaching(mc_id) != peers) return false;
-  const Tick outside = engine_.nextEventTimeFor(mc_id, peer_instants_);
-
+  peer_instants_.clear();
   std::vector<ReplayMember>& members = replay_members_;
   members.clear();
-  for (const auto& [tid, r] : runs) {
-    if (tid != self) members.push_back({tid, r.t, r.hop, r.remaining, 0, r.t});
+  for (const WordRun& r : runs.members) {
+    if (r.task == self) continue;
+    peer_instants_.push_back(r.t);
+    members.push_back({r.task, r.t, r.hop, r.remaining, 0, r.t});
   }
+  const Tick outside = engine_.nextEventTimeFor(mc_id, peer_instants_);
   members.push_back({self, start, hop_one_way, max_words, 0, start});
 
   // Replay the joint FCFS recurrence in ENGINE order on a SCRATCH timeline:
@@ -1398,11 +1414,10 @@ bool SccMachine::solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way,
       if (m.remaining == 0) {
         runs.erase(self);  // a continuation call's own stale entry, if any
       } else {
-        WordRun& r = runs[self];
+        WordRun& r = runs.upsert(self);
         r.t = m.t;
         r.hop = m.hop;
         r.remaining = m.remaining;
-        r.solved = false;
         r.done = 0;
       }
       *words_done = m.done;
@@ -1410,11 +1425,12 @@ bool SccMachine::solveContendedRuns(std::uint32_t mc_id, Tick hop_one_way,
       continue;
     }
     if (m.done == 0) continue;  // untouched: its pending event is still true
-    WordRun& r = runs[m.task];
+    WordRun& r = *runs.find(m.task);
     r.solved = true;
     r.done = m.done;
     r.final_t = m.t;
     r.remaining = m.remaining;
+    ++runs.solved;
   }
   return true;
 }
@@ -1444,13 +1460,13 @@ Tick SccMachine::shmWordsOnController(std::uint32_t mc_id, Tick hop_one_way,
     // contention pattern closed and solve the joint recurrence.
     const std::size_t task = engine_.currentTaskId();
     if (task != Engine::kNoTask) {
-      auto& runs = shm_word_runs_[mc_id];
+      ControllerRuns& runs = shm_word_runs_[mc_id];
       if (*words_done < max_words) {
-        WordRun& r = runs[task];
+        // Never solved here: consumeSolvedRun would have taken it.
+        WordRun& r = runs.upsert(task);
         r.t = t;
         r.hop = hop_one_way;
         r.remaining = max_words - *words_done;
-        r.solved = false;
       } else {
         runs.erase(task);
       }

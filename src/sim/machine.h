@@ -755,14 +755,38 @@ class SccMachine {
   // cycles are not shifts), and after kCycleCheckBudget failed checks — a
   // replay that has not settled by then (members with different hops on an
   // unsaturated controller never do) would only pay for them.
+  //
+  // Run table. Every word-run path first asks the table of its controller
+  // (ControllerRuns), and nearly every ask is declined, so the table keeps
+  // the counts the closure gate needs: the member count, the solved count
+  // and a task-indexed slot. A declined replay, a resume with nothing
+  // solved and a run registration are O(1) — no hashing, no allocation in
+  // steady state, no walk over peers.
   /// One task's in-flight word-run against a controller.
   struct WordRun {
+    std::size_t task = 0;  ///< the root task running it
     Tick t = 0;        ///< completion of its last serviced word (its pending event)
     Tick hop = 0;      ///< its one-way mesh latency to this controller
-    std::size_t remaining = 0;  ///< words left in the run
+    std::size_t remaining = 0;  ///< words left in the run (> 0 unless solved)
     bool solved = false;        ///< a joint replay precomputed words for it
     std::size_t done = 0;       ///< words the replay serviced (when solved)
     Tick final_t = 0;  ///< completion of the last replayed word (when solved)
+  };
+  /// The in-flight runs against one controller, in no particular order (the
+  /// replay picks by (t, task) key, so member order never matters).
+  struct ControllerRuns {
+    std::vector<WordRun> members;
+    /// Per task id: its index in `members` plus one, 0 when it has no run.
+    std::vector<std::uint32_t> slot;
+    std::size_t solved = 0;  ///< members with `solved` set
+
+    [[nodiscard]] WordRun* find(std::size_t task) {
+      const std::uint32_t s = task < slot.size() ? slot[task] : 0;
+      return s == 0 ? nullptr : &members[s - 1];
+    }
+    /// The task's run, appended unsolved if it has none.
+    WordRun& upsert(std::size_t task);
+    void erase(std::size_t task);
   };
   /// Consume the calling task's precomputed joint-solve result, if any:
   /// stores the full remaining word count and returns the run's completion.
@@ -885,9 +909,8 @@ class SccMachine {
   /// First-touch stripe claims: global stripe index → controller.
   std::unordered_map<std::uint64_t, std::uint32_t> first_touch_claims_;
 
-  /// Per controller: tasks mid word-run against it (round-robin contention
-  /// batching bookkeeping; a handful of entries at most).
-  std::vector<std::unordered_map<std::size_t, WordRun>> shm_word_runs_;
+  /// Per controller: the run table of the tasks mid word-run against it.
+  std::vector<ControllerRuns> shm_word_runs_;
   /// Peers' next-event instants of the current joint replay (the
   /// `excluded` set of its horizon query), its members and its deferred
   /// stall records; reused across calls so a replay allocates nothing.

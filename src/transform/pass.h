@@ -17,6 +17,10 @@ namespace hsm::transform {
 /// Everything a pass may need: the tree, the analysis results, the Stage 4
 /// plan, diagnostics, and a scratch area shared between passes.
 struct PassContext {
+  PassContext(ast::ASTContext& ast_in, analysis::AnalysisResult& analysis_in,
+              const partition::MemoryPlan& plan_in, DiagnosticEngine& diags_in)
+      : ast(ast_in), analysis(analysis_in), plan(plan_in), diags(diags_in) {}
+
   ast::ASTContext& ast;
   analysis::AnalysisResult& analysis;
   const partition::MemoryPlan& plan;

@@ -263,8 +263,10 @@ std::uint64_t kvReferenceChecksum(const KvParams& params, int ue) {
 
 namespace {
 
-std::vector<double> buildZipfCdf(std::uint32_t num_keys, double alpha) {
-  std::vector<double> cdf(num_keys);
+ZipfGenerator::Table buildZipfTable(std::uint32_t num_keys, double alpha) {
+  ZipfGenerator::Table table;
+  std::vector<double>& cdf = table.cdf;
+  cdf.resize(num_keys);
   double total = 0.0;
   for (std::uint32_t k = 0; k < num_keys; ++k) {
     total += 1.0 / std::pow(static_cast<double>(k + 1), alpha);
@@ -272,37 +274,55 @@ std::vector<double> buildZipfCdf(std::uint32_t num_keys, double alpha) {
   }
   for (std::uint32_t k = 0; k < num_keys; ++k) cdf[k] /= total;
   cdf.back() = 1.0;  // guard against accumulated rounding at the tail
-  return cdf;
+
+  // j / M is exact in a double (M is a power of two), and the walk is the
+  // full search's "first rank whose cdf exceeds x" for ascending x.
+  table.guide_bits = static_cast<unsigned>(std::bit_width(num_keys - 1));
+  const std::uint64_t buckets = std::uint64_t{1} << table.guide_bits;
+  table.guide.resize(buckets + 1);
+  std::uint32_t k = 0;
+  for (std::uint64_t j = 0; j <= buckets; ++j) {
+    const double x = std::ldexp(static_cast<double>(j), -static_cast<int>(table.guide_bits));
+    while (k + 1 < num_keys && cdf[k] <= x) ++k;
+    table.guide[j] = k;
+  }
+  return table;
 }
 
-/// The CDF is a pure function of (num_keys, alpha), so every generator with
-/// the same parameters shares one table, built on first use. Generators may
+/// The table is a pure function of (num_keys, alpha), so every generator
+/// with the same parameters shares one, built on first use. Generators may
 /// be constructed on several host threads at once (independent machines run
 /// side by side), hence the mutex.
-std::shared_ptr<const std::vector<double>> sharedZipfCdf(std::uint32_t num_keys,
-                                                         double alpha) {
+std::shared_ptr<const ZipfGenerator::Table> sharedZipfTable(std::uint32_t num_keys,
+                                                            double alpha) {
   static std::mutex mu;
   static std::map<std::pair<std::uint32_t, std::uint64_t>,
-                  std::shared_ptr<const std::vector<double>>>
+                  std::shared_ptr<const ZipfGenerator::Table>>
       memo;
   const std::lock_guard<std::mutex> lock(mu);
-  auto& cdf = memo[{num_keys, std::bit_cast<std::uint64_t>(alpha)}];
-  if (!cdf) cdf = std::make_shared<const std::vector<double>>(buildZipfCdf(num_keys, alpha));
-  return cdf;
+  auto& table = memo[{num_keys, std::bit_cast<std::uint64_t>(alpha)}];
+  if (!table) {
+    table = std::make_shared<const ZipfGenerator::Table>(buildZipfTable(num_keys, alpha));
+  }
+  return table;
 }
 
 }  // namespace
 
 ZipfGenerator::ZipfGenerator(std::uint32_t num_keys, double alpha, std::uint64_t seed)
-    : cdf_(sharedZipfCdf(num_keys == 0 ? 1 : num_keys, alpha)), seed_(seed) {}
+    : table_(sharedZipfTable(num_keys == 0 ? 1 : num_keys, alpha)), seed_(seed) {}
 
 std::uint32_t ZipfGenerator::next() {
   const std::uint64_t bits = kvMix64(seed_ ^ (counter_++ * 0x9E3779B97F4A7C15ULL));
   const double u = static_cast<double>(bits >> 11) * 0x1.0p-53;
-  // Inverse CDF by binary search: first rank whose cumulative mass covers u.
-  const std::vector<double>& cdf = *cdf_;
-  std::uint32_t lo = 0;
-  std::uint32_t hi = static_cast<std::uint32_t>(cdf.size()) - 1;
+  // Inverse CDF: the first rank whose cumulative mass exceeds u, searched
+  // only between the guide entries of u's bucket j = floor(u * M) (the
+  // integer shift is that floor, exactly). The rank lies there because the
+  // search is monotone in u, so every key equals a full binary search's.
+  const std::vector<double>& cdf = table_->cdf;
+  const std::uint64_t j = (bits >> 11) >> (53 - table_->guide_bits);
+  std::uint32_t lo = table_->guide[j];
+  std::uint32_t hi = table_->guide[j + 1];
   while (lo < hi) {
     const std::uint32_t mid = lo + (hi - lo) / 2;
     if (cdf[mid] <= u) {
@@ -315,7 +335,7 @@ std::uint32_t ZipfGenerator::next() {
 }
 
 double ZipfGenerator::probability(std::uint32_t k) const {
-  const std::vector<double>& cdf = *cdf_;
+  const std::vector<double>& cdf = table_->cdf;
   if (k >= cdf.size()) return 0.0;
   return k == 0 ? cdf[0] : cdf[k] - cdf[k - 1];
 }

@@ -47,14 +47,27 @@ class ZipfGenerator {
   /// Next key rank (0 = the hottest key).
   [[nodiscard]] std::uint32_t next();
   [[nodiscard]] std::uint32_t numKeys() const {
-    return static_cast<std::uint32_t>(cdf_->size());
+    return static_cast<std::uint32_t>(table_->cdf.size());
   }
   /// Probability mass of rank `k` (for skew assertions in tests).
   [[nodiscard]] double probability(std::uint32_t k) const;
+  /// The shared cumulative distribution: cdf()[k] = P(rank <= k).
+  [[nodiscard]] const std::vector<double>& cdf() const { return table_->cdf; }
+
+  /// The inverse-CDF table shared by every generator with the same
+  /// (num_keys, alpha).
+  struct Table {
+    std::vector<double> cdf;  ///< cdf[k] = P(rank <= k), cdf.back() == 1
+    /// Guide table over M = 2^guide_bits >= num_keys buckets (M + 1
+    /// entries): guide[j] is the first rank whose cdf exceeds j / M (the
+    /// last rank if none does). A uniform u in bucket floor(u * M) has its
+    /// rank in [guide[j], guide[j + 1]], so next() searches only there.
+    std::vector<std::uint32_t> guide;
+    unsigned guide_bits = 0;
+  };
 
  private:
-  /// (*cdf_)[k] = P(rank <= k), cdf_->back() == 1
-  std::shared_ptr<const std::vector<double>> cdf_;
+  std::shared_ptr<const Table> table_;
   std::uint64_t seed_;
   std::uint64_t counter_ = 0;
 };

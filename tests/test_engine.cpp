@@ -406,6 +406,34 @@ TEST(Engine, AllWakersRuleBoundsByLatestWaker) {
   }
 }
 
+// The heap-top shortcut answers a horizon query with the earliest pending
+// event only when that event can touch the queried resource. Here the heap
+// top at the probe (t=40) is a resource-1 task pending @50, while a task
+// parked on resource 0 waits for a resource-1 waker that runs @300:
+//   resource 0: no pending event reaches it; the parked task's wake chain
+//               bounds it at 300 (the @50 event cannot touch resource 0);
+//   resource 1: the heap top @50 is in its own reach class, so it is the
+//               answer (the parked task cannot touch resource 1).
+TEST(Engine, HorizonShortcutIgnoresHeapTopOutsideReach) {
+  Engine engine;
+  engine.registerResources(2);
+  const std::uint32_t lock = engine.registerSyncObject();
+  std::coroutine_handle<> parked;
+  std::size_t parked_task = Engine::kNoTask;
+  std::vector<Tick> horizons;
+  engine.spawn(parkOnSync(engine, lock, parked, parked_task), 0, 0);
+  const std::size_t waker =
+      engine.spawn(wakeParked(engine, 300, parked, parked_task), 0, 1);
+  engine.spawn(idleUntil(engine, 50), 0, 1);
+  engine.spawn(probeHorizons(engine, 40, horizons), 0, 0);
+  engine.setSyncWakers(lock, {waker});
+  engine.run();
+  ASSERT_EQ(horizons.size(), 3u);
+  EXPECT_EQ(horizons[0], 300u);
+  EXPECT_EQ(horizons[1], 50u);
+  EXPECT_EQ(horizons[2], 50u);  // the global horizon is the heap top
+}
+
 // --- episodic waker sets (barrier episode upkeep) ----------------------------
 
 // setSyncEpisodeWakers declares the full membership once; removeSyncWaker

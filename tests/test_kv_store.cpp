@@ -16,6 +16,7 @@
 //     plan_regions_unrealized detector.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <numeric>
 #include <stdexcept>
@@ -73,7 +74,9 @@ TEST(ZipfGenerator, MeasuredSkewMatchesProbability) {
   double total = 0.0;
   for (std::uint32_t k = 0; k < n; ++k) {
     total += g.probability(k);
-    if (k > 0) EXPECT_LE(g.probability(k), g.probability(k - 1));
+    if (k > 0) {
+      EXPECT_LE(g.probability(k), g.probability(k - 1));
+    }
   }
   EXPECT_NEAR(total, 1.0, 1e-9);
   EXPECT_GT(g.probability(0), 0.15);  // alpha 1.2 concentrates the head
@@ -99,6 +102,46 @@ TEST(ZipfGenerator, SharedCdfIsThreadSafeAndReplaysIdentically) {
     ASSERT_EQ(streams[t].size(), static_cast<std::size_t>(kDraws));
     for (int i = 0; i < kDraws; ++i) {
       ASSERT_EQ(streams[t][i], replay.next()) << "thread " << t << " draw " << i;
+    }
+  }
+}
+
+/// The first rank whose cdf exceeds u (the last rank if none does): a full
+/// binary search over the whole CDF, independent of the guide table.
+std::uint32_t fullSearch(const std::vector<double>& cdf, double u) {
+  std::uint32_t lo = 0;
+  std::uint32_t hi = static_cast<std::uint32_t>(cdf.size()) - 1;
+  while (lo < hi) {
+    const std::uint32_t mid = lo + (hi - lo) / 2;
+    if (cdf[mid] <= u) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+TEST(ZipfGenerator, GuidedSearchMatchesFullBinarySearch) {
+  // The default workload, a key count that is not a power of two, both
+  // ends of the skew range, and a single key (one guide bucket).
+  struct Case {
+    std::uint32_t keys;
+    double alpha;
+  };
+  constexpr std::uint64_t kSeed = 0xC0FFEEULL;
+  constexpr int kDraws = 1 << 20;
+  for (const Case c : {Case{4096, 1.2}, Case{3000, 1.2}, Case{1000, 0.8},
+                       Case{4096, 2.0}, Case{1, 1.2}}) {
+    ZipfGenerator g(c.keys, c.alpha, kSeed);
+    const std::vector<double>& cdf = g.cdf();
+    ASSERT_EQ(cdf.size(), c.keys);
+    for (std::uint64_t i = 0; i < kDraws; ++i) {
+      // The generator's uniform for draw i (see ZipfGenerator::next).
+      const std::uint64_t bits = workloads::kvMix64(kSeed ^ (i * 0x9E3779B97F4A7C15ULL));
+      const double u = static_cast<double>(bits >> 11) * 0x1.0p-53;
+      ASSERT_EQ(g.next(), fullSearch(cdf, u))
+          << c.keys << " keys, alpha " << c.alpha << ", draw " << i;
     }
   }
 }
@@ -287,6 +330,28 @@ TEST(KvStore, PlacementRoutedWordsMatchThePerWordOracle) {
         << plan.regions.front().name << " placement "
         << static_cast<int>(plan.regions.front().controller);
   }
+}
+
+/// {engine events, shm word events, joint replays} of one coalesced KV run
+/// at 16 UEs (a plan of nullptr is the requester-local owner-compute route).
+std::array<std::uint64_t, 3> kvWork(const ExecutionPlan* plan) {
+  KvParams p;
+  p.num_keys = 256;
+  p.ops_per_ue = 192;
+  sim::SccMachine m{sim::SccConfig{}};
+  workloads::setupKvRcce(m, p, 16, plan);
+  m.run();
+  return {m.engine().eventsProcessed(), m.shmWordEvents(), m.shmJointReplays()};
+}
+
+TEST(KvStore, CoalescedWorkCountsArePinned) {
+  // Deterministic work counters of the coalesced path: the horizon
+  // shortcut, the counted run table and the indexed pending buckets only
+  // make declined coalescing attempts cheaper, so none of these may move.
+  const ExecutionPlan striped = kvPlan(ControllerPlacement::kStriped);
+  // Placement-routed runs stand the joint replay down (0 replays).
+  EXPECT_EQ(kvWork(nullptr), (std::array<std::uint64_t, 3>{21291, 14873, 1329}));
+  EXPECT_EQ(kvWork(&striped), (std::array<std::uint64_t, 3>{22033, 15615, 0}));
 }
 
 TEST(ControllerPlacementRouting, RegisteringAfterLaunchIsRejected) {

@@ -224,7 +224,9 @@ TEST(SwCacheMachine, BarrierMakesWritesVisibleDespiteStaleCopy) {
     }
     const SwCacheStats totals = machine.swcacheTotals();
     EXPECT_GT(totals.word_accesses, 0u);
-    if (policy == 0) EXPECT_GT(totals.writebacks, 0u);
+    if (policy == 0) {
+      EXPECT_GT(totals.writebacks, 0u);
+    }
     EXPECT_GT(totals.invalidated_lines, 0u);
   }
 }
